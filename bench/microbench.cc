@@ -159,7 +159,8 @@ void
 BM_CoSearchLayouts(benchmark::State& state)
 {
     // Layout x mapping co-search over the full candidate set; arg =
-    // worker threads. ~7x the single-layout search's evaluations.
+    // worker threads. One draw and nest analysis per sample, scored
+    // under all seven candidates.
     engine::Arch arch = benchArch();
     arch.layoutSearch = true;
     int threads = static_cast<int>(state.range(0));

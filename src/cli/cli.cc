@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <utility>
 
 #include "cimloop/common/error.hh"
 #include "cimloop/common/util.hh"
@@ -173,6 +174,16 @@ parseInt(const std::string& flag, const std::string& value)
     }
 }
 
+/** An operand precision: the [1, 16] bits the operand models support. */
+int
+parseOperandBits(const std::string& flag, const std::string& value)
+{
+    const std::int64_t v = parseInt(flag, value);
+    if (v < 1 || v > 16)
+        CIM_FATAL(flag, " must be within [1, 16] bits, got ", v);
+    return static_cast<int>(v);
+}
+
 double
 parseDouble(const std::string& flag, const std::string& value)
 {
@@ -228,9 +239,9 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--cell-bits") {
             opts.cellBits = static_cast<int>(parseInt(flag, value()));
         } else if (flag == "--input-bits") {
-            opts.inputBits = static_cast<int>(parseInt(flag, value()));
+            opts.inputBits = parseOperandBits(flag, value());
         } else if (flag == "--weight-bits") {
-            opts.weightBits = static_cast<int>(parseInt(flag, value()));
+            opts.weightBits = parseOperandBits(flag, value());
         } else if (flag == "--device") {
             opts.device = value();
         } else if (flag == "--csv") {
@@ -797,6 +808,19 @@ runParsed(const CliOptions& opts, const CancelToken& token,
                 arch, net, opts.threads, opts.mappings, opts.seed,
                 objectiveFromString(opts.objective), opts.keepGoing,
                 &token);
+        }
+
+        // A total that overflowed (an operating point far outside the
+        // models' range, say) is an error, never a printed success.
+        const std::pair<const char*, double> totals[] = {
+            {"energy", ev.energyPj},
+            {"latency", ev.latencyNs},
+            {"area", ev.areaUm2},
+            {"MACs", ev.macs}};
+        for (const auto& [name, v] : totals) {
+            if (!std::isfinite(v))
+                CIM_FATAL("network total ", name, " is not finite (", v,
+                          "); check the operating point");
         }
 
         if (!ev.complete()) {

@@ -381,17 +381,29 @@ evaluate(const Arch& arch, const PerActionTable& table,
     return evaluate(arch, table, mapping, &resolved);
 }
 
-Evaluation
-evaluate(const Arch& arch, const PerActionTable& table,
-         const mapping::Mapping& mapping,
-         const layout::ResolvedLayout* layout)
+namespace {
+
+/**
+ * The one scoring path behind scoreNest() and the search loop. Writes
+ * into @p ev, reusing its per-node buffers: the search scores every
+ * sample under every layout candidate into one scratch Evaluation, so
+ * only an improving sample costs an allocation.
+ */
+void
+scoreInto(Evaluation& ev, const Arch& arch, const PerActionTable& table,
+          const mapping::Mapping& mapping, const mapping::NestResult& nest,
+          const layout::ResolvedLayout* layout)
 {
-    Evaluation ev;
-    mapping::NestResult nest =
-        mapping::analyzeNest(arch.hierarchy, mapping, table.extLayer);
+    // Start from a default Evaluation but keep the buffers' capacity.
+    Evaluation fresh;
+    fresh.nodeEnergyPj.swap(ev.nodeEnergyPj);
+    fresh.nodeAreaUm2.swap(ev.nodeAreaUm2);
+    ev = std::move(fresh);
     if (!nest.valid) {
+        ev.nodeEnergyPj.clear();
+        ev.nodeAreaUm2.clear();
         ev.invalidReason = nest.invalidReason;
-        return ev;
+        return;
     }
 
     const std::size_t n = arch.hierarchy.nodes.size();
@@ -428,10 +440,13 @@ evaluate(const Arch& arch, const PerActionTable& table,
         // leaves idle still conduct at a fraction of the active-cell
         // cost. This is what makes oversized arrays lose at the macro
         // level when tensors underutilize them (paper Fig. 2a).
-        double idle_fraction =
-            arch.hierarchy.nodes[i].attrDouble("idle_fraction", 0.0);
-        if (idle_fraction > 0.0 &&
-            counts.usedInstances < counts.totalInstances) {
+        // (The attribute lookup runs only for partly idle nodes: every
+        // sample is scored once per layout candidate.)
+        const double idle_fraction =
+            counts.usedInstances < counts.totalInstances
+                ? arch.hierarchy.nodes[i].attrDouble("idle_fraction", 0.0)
+                : 0.0;
+        if (idle_fraction > 0.0) {
             double idle_ratio =
                 static_cast<double>(counts.totalInstances) /
                     static_cast<double>(std::max<std::int64_t>(
@@ -492,7 +507,29 @@ evaluate(const Arch& arch, const PerActionTable& table,
             ev.energyPj += leak_pj;
         }
     }
+}
+
+} // namespace
+
+Evaluation
+scoreNest(const Arch& arch, const PerActionTable& table,
+          const mapping::Mapping& mapping, const mapping::NestResult& nest,
+          const layout::ResolvedLayout* layout)
+{
+    Evaluation ev;
+    scoreInto(ev, arch, table, mapping, nest, layout);
     return ev;
+}
+
+Evaluation
+evaluate(const Arch& arch, const PerActionTable& table,
+         const mapping::Mapping& mapping,
+         const layout::ResolvedLayout* layout)
+{
+    return scoreNest(
+        arch, table, mapping,
+        mapping::analyzeNest(arch.hierarchy, mapping, table.extLayer),
+        layout);
 }
 
 namespace {
@@ -518,28 +555,39 @@ objectiveValue(Objective obj, const Evaluation& ev)
  */
 constexpr int kSearchShards = 16;
 
-/** One shard's best under the (value, shard, sample) total order. */
-struct ShardOutcome
+/** Shards a budget of @p num_mappings samples splits over. */
+int
+searchShards(int num_mappings)
 {
-    bool have = false;
-    double value = 0.0;
-    mapping::Mapping best;
-    Evaluation eval;
-    int evaluated = 0;
-    int invalid = 0;
-    int rejected = 0;
-    bool exhausted = false;
+    return std::min(kSearchShards, std::max(num_mappings, 0));
+}
+
+/** What one shard's sample stream did, beyond the samples it drew. */
+struct ShardDraw
+{
+    int rejected = 0;       //!< mapper samples that failed validation
+    bool exhausted = false; //!< gave up before spending its budget
 };
 
-ShardOutcome
-runSearchShard(const Arch& arch, const PerActionTable& table,
-               const mapping::Mapper& mapper, Objective objective,
-               std::uint64_t seed, int shard, int budget,
-               const layout::ResolvedLayout* layout,
-               const CancelToken* cancel)
+/**
+ * The sample stream of shard @p shard, shared by every search consumer:
+ * draws the shard's share of @p num_mappings (an even split, the
+ * remainder going to the first shards) from Rng::forStream(seed, shard)
+ * through Mapper::next, runs the nest analysis once per drawn mapping,
+ * and hands (mapping, nest) to @p visit in sample order.
+ */
+template <typename Visit>
+ShardDraw
+drawShard(const Arch& arch, const PerActionTable& table,
+          const mapping::Mapper& mapper, std::uint64_t seed,
+          int num_mappings, int shard, const CancelToken* cancel,
+          Visit&& visit)
 {
-    ShardOutcome out;
+    ShardDraw draw;
     Rng rng = Rng::forStream(seed, static_cast<std::uint64_t>(shard));
+    const int shards = searchShards(num_mappings);
+    const int budget =
+        num_mappings / shards + (shard < num_mappings % shards ? 1 : 0);
     for (int i = 0; i < budget; ++i) {
         // Poll between samples, not mid-evaluation. The shard just stops
         // drawing; searchMappings notices the token after the join and
@@ -547,26 +595,70 @@ runSearchShard(const Arch& arch, const PerActionTable& table,
         // best computed from a truncated sample set.
         if (cancel && cancel->cancelled())
             break;
-        std::optional<mapping::Mapping> m = mapper.next(rng, out.rejected);
+        std::optional<mapping::Mapping> m = mapper.next(rng, draw.rejected);
         if (!m) {
-            out.exhausted = true;
+            draw.exhausted = true;
             break;
         }
-        Evaluation ev = evaluate(arch, table, *m, layout);
-        if (!ev.valid) {
-            ++out.invalid;
-            continue;
-        }
-        ++out.evaluated;
-        double value = objectiveValue(objective, ev);
-        // Strict < keeps the lowest sample index among equal values.
-        if (!out.have || value < out.value) {
-            out.have = true;
-            out.value = value;
-            out.eval = std::move(ev);
-            out.best = std::move(*m);
-        }
+        visit(*m, mapping::analyzeNest(arch.hierarchy, *m, table.extLayer));
     }
+    return draw;
+}
+
+/** One (layout, shard) best under the (value, shard, sample) order. */
+struct LayoutBest
+{
+    bool have = false;
+    double value = 0.0;
+    mapping::Mapping best;
+    Evaluation eval;
+};
+
+/** One shard's outcome: a best per layout candidate, plus counts. */
+struct ShardOutcome
+{
+    std::vector<LayoutBest> bests; //!< parallel to the layout candidates
+    int evaluated = 0; //!< valid samples (each valid under every layout)
+    int invalid = 0;   //!< invalid samples (invalid under every layout)
+    ShardDraw draw;
+};
+
+/**
+ * Runs one shard: each sample is drawn and analyzed once, then scored
+ * under every layout candidate (nullptr = no layout). Only the
+ * bank-conflict step time, and through it leakage, differ per layout.
+ */
+ShardOutcome
+runSearchShard(const Arch& arch, const PerActionTable& table,
+               const mapping::Mapper& mapper, Objective objective,
+               std::uint64_t seed, int num_mappings, int shard,
+               const std::vector<const layout::ResolvedLayout*>& layouts,
+               const CancelToken* cancel)
+{
+    ShardOutcome out;
+    out.bests.resize(layouts.size());
+    Evaluation scratch;
+    out.draw = drawShard(
+        arch, table, mapper, seed, num_mappings, shard, cancel,
+        [&](const mapping::Mapping& m, const mapping::NestResult& nest) {
+            if (!nest.valid) {
+                ++out.invalid;
+                return;
+            }
+            ++out.evaluated;
+            for (std::size_t l = 0; l < layouts.size(); ++l) {
+                scoreInto(scratch, arch, table, m, nest, layouts[l]);
+                double value = objectiveValue(objective, scratch);
+                LayoutBest& b = out.bests[l];
+                // Strict < keeps the lowest sample index among equals.
+                if (!b.have || value < b.value) {
+                    b.have = true;
+                    b.value = value;
+                    std::swap(b.eval, scratch);
+                    b.best = m;
+                }
+            }
+        });
     return out;
 }
 
@@ -600,9 +692,9 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     resolved.reserve(candidates.size());
     for (const layout::LayoutSpec& c : candidates)
         resolved.push_back(layout::resolveLayout(arch.hierarchy, c));
-    auto layout_of = [&](std::size_t l) -> const layout::ResolvedLayout* {
-        return resolved[l].any ? &resolved[l] : nullptr;
-    };
+    std::vector<const layout::ResolvedLayout*> layouts;
+    for (const layout::ResolvedLayout& r : resolved)
+        layouts.push_back(r.any ? &r : nullptr);
 
     SearchResult result;
     bool have_best = false;
@@ -610,27 +702,20 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     std::size_t best_layout = 0;
 
     const std::size_t num_layouts = candidates.size();
-    const int shards = std::min(kSearchShards, std::max(num_mappings, 0));
+    const int shards = searchShards(num_mappings);
 
-    // One work unit per (layout, shard). Each shard re-draws the SAME
-    // Rng stream (seed, shard) for every layout candidate, so every
-    // candidate scores the identical mapping sample set and the winner
-    // is a joint optimum over layout x mapping — and, because the unit
-    // decomposition is scheduling-independent, results stay
-    // bit-identical for any thread count.
-    std::vector<ShardOutcome> outcomes(num_layouts *
-                                       static_cast<std::size_t>(shards));
+    // One work unit per shard. A shard draws its Rng stream (seed,
+    // shard) once and scores every sample under every layout candidate,
+    // so all candidates rank the identical sample set and the winner is
+    // a joint optimum over layout x mapping. The shard decomposition is
+    // scheduling-independent, so results stay bit-identical for any
+    // thread count; more than `shards` threads add nothing.
+    std::vector<ShardOutcome> outcomes(static_cast<std::size_t>(shards));
     parallelFor(threads, outcomes.size(),
-                [&](std::size_t u) {
-                    std::size_t l = u / static_cast<std::size_t>(shards);
-                    int shard = static_cast<int>(
-                        u % static_cast<std::size_t>(shards));
-                    int budget = num_mappings / shards +
-                                 (shard < num_mappings % shards ? 1 : 0);
-                    outcomes[u] = runSearchShard(arch, *table, mapper,
-                                                 objective, seed, shard,
-                                                 budget, layout_of(l),
-                                                 cancel);
+                [&](std::size_t s) {
+                    outcomes[s] = runSearchShard(
+                        arch, *table, mapper, objective, seed, num_mappings,
+                        static_cast<int>(s), layouts, cancel);
                 },
                 cancel);
 
@@ -645,10 +730,17 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     // Deterministic merge realizing the (value, layout, shard, sample)
     // total order: layouts ascending; within a layout the greedy
     // heuristic ahead of every shard (it wins ties), then shards
-    // ascending; strict improvement only.
+    // ascending; strict improvement only. The evaluated/invalid/exhausted
+    // counts are per (layout, shard) unit; the mapper's rejections are
+    // per drawn sample.
     const mapping::Mapping greedy = mapper.greedy();
+    const mapping::NestResult greedy_nest =
+        mapping::analyzeNest(arch.hierarchy, greedy, table->extLayer);
+    for (const ShardOutcome& out : outcomes)
+        result.rejected += out.draw.rejected;
     for (std::size_t l = 0; l < num_layouts; ++l) {
-        Evaluation ev = evaluate(arch, *table, greedy, layout_of(l));
+        Evaluation ev = scoreNest(arch, *table, greedy, greedy_nest,
+                                  layouts[l]);
         if (ev.valid) {
             ++result.evaluated;
             double value = objectiveValue(objective, ev);
@@ -662,20 +754,17 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
         } else {
             ++result.invalid;
         }
-        for (int s = 0; s < shards; ++s) {
-            ShardOutcome& out =
-                outcomes[l * static_cast<std::size_t>(shards) +
-                         static_cast<std::size_t>(s)];
+        for (ShardOutcome& out : outcomes) {
             result.evaluated += out.evaluated;
             result.invalid += out.invalid;
-            result.rejected += out.rejected;
-            result.exhausted += out.exhausted ? 1 : 0;
-            if (out.have && (!have_best || out.value < best_value)) {
+            result.exhausted += out.draw.exhausted ? 1 : 0;
+            LayoutBest& b = out.bests[l];
+            if (b.have && (!have_best || b.value < best_value)) {
                 have_best = true;
-                best_value = out.value;
+                best_value = b.value;
                 best_layout = l;
-                result.best = std::move(out.eval);
-                result.bestMapping = std::move(out.best);
+                result.best = std::move(b.eval);
+                result.bestMapping = std::move(b.best);
             }
         }
     }
@@ -708,12 +797,13 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     }
 
     if (result.exhausted > 0) {
+        // Reported in drawn samples: every candidate scores the same draw.
+        const int units = static_cast<int>(num_layouts);
         warn("mapping search for layer '", layer.name, "' on arch '",
-             arch.name, "' stopped early in ", result.exhausted, " of ",
-             static_cast<int>(num_layouts) * shards, " shards: drew ",
-             result.evaluated + result.invalid, " of ",
-             static_cast<int>(num_layouts) * (num_mappings + 1),
-             " budgeted samples (", result.rejected,
+             arch.name, "' stopped early in ", result.exhausted / units,
+             " of ", shards, " shards: drew ",
+             (result.evaluated + result.invalid) / units, " of ",
+             num_mappings + 1, " budgeted samples (", result.rejected,
              " rejected by the mapper)");
     }
     if (!have_best) {
@@ -936,28 +1026,25 @@ paretoFrontier(const Arch& arch, const workload::Layer& layer,
         cachedPrecompute(arch, layer);
     mapping::Mapper mapper(arch.hierarchy, table->extLayer, {.seed = seed});
 
+    const layout::ResolvedLayout resolved =
+        layout::resolveLayout(arch.hierarchy, arch.layout);
+    const layout::ResolvedLayout* lay = resolved.any ? &resolved : nullptr;
+
     std::vector<ParetoPoint> points;
-    auto consider = [&](const mapping::Mapping& m) {
-        Evaluation ev = evaluate(arch, *table, m);
+    auto consider = [&](const mapping::Mapping& m,
+                        const mapping::NestResult& nest) {
+        Evaluation ev = scoreNest(arch, *table, m, nest, lay);
         if (ev.valid)
             points.push_back({m, std::move(ev)});
     };
-    consider(mapper.greedy());
-    // Same shard-stream decomposition as searchMappings, so for one seed
-    // the frontier explores exactly the sample set the search ranks.
-    const int shards = std::min(kSearchShards, std::max(num_mappings, 0));
-    for (int shard = 0; shard < shards; ++shard) {
-        int budget = num_mappings / shards +
-                     (shard < num_mappings % shards ? 1 : 0);
-        Rng rng = Rng::forStream(seed, static_cast<std::uint64_t>(shard));
-        int rejected = 0;
-        for (int i = 0; i < budget; ++i) {
-            std::optional<mapping::Mapping> m = mapper.next(rng, rejected);
-            if (!m)
-                break;
-            consider(*m);
-        }
-    }
+    const mapping::Mapping greedy = mapper.greedy();
+    consider(greedy,
+             mapping::analyzeNest(arch.hierarchy, greedy, table->extLayer));
+    // The search's own shard streams, so for one seed the frontier
+    // explores exactly the sample set the search ranks.
+    for (int shard = 0; shard < searchShards(num_mappings); ++shard)
+        drawShard(arch, *table, mapper, seed, num_mappings, shard, nullptr,
+                  consider);
     if (points.empty())
         CIM_FATAL("no valid mapping found for layer '", layer.name,
                   "' on arch '", arch.name, "'");

@@ -163,10 +163,25 @@ struct Evaluation
 };
 
 /**
- * Evaluates one mapping using a precomputed table (Algorithm 1, 8-10).
- * When arch.layout is non-empty it is resolved against the hierarchy
- * and the bank-conflict slowdown folds into the latency; per-action
- * energies never depend on the layout.
+ * Scores an analyzed mapping (Algorithm 1, lines 8-10): multiplies the
+ * per-action energies by @p nest's action counts (with the idle-cell
+ * penalty), sums area, sets the step time by the slowest component —
+ * stretched by the bank-conflict slowdowns of @p layout (nullptr = no
+ * layout) — and charges leakage over the resulting latency. An invalid
+ * @p nest gives an invalid Evaluation with its reason. Dynamic energy
+ * never depends on the layout, so one nest analysis serves every layout
+ * candidate: the co-search scores each sample under all of them this way.
+ */
+Evaluation scoreNest(const Arch& arch, const PerActionTable& table,
+                     const mapping::Mapping& mapping,
+                     const mapping::NestResult& nest,
+                     const layout::ResolvedLayout* layout);
+
+/**
+ * Evaluates one mapping using a precomputed table: analyzeNest(), then
+ * scoreNest(). When arch.layout is non-empty it is resolved against the
+ * hierarchy and the bank-conflict slowdown folds into the latency;
+ * per-action energies never depend on the layout.
  */
 Evaluation evaluate(const Arch& arch, const PerActionTable& table,
                     const mapping::Mapping& mapping);
@@ -217,12 +232,12 @@ struct SearchResult
  * returned best mapping, objective value, and sample counters are
  * bit-identical for any thread count, including 1.
  *
- * With arch.layoutSearch, the layout candidate set becomes an outer
- * enumeration over the same shard streams: every candidate scores the
- * identical sample set (each (layout, shard) unit re-draws
- * Rng::forStream(seed, shard)), and bests merge under (value, layout,
- * shard, sample) — still bit-identical at any thread count. A fixed
- * arch.layout is the one-candidate special case.
+ * With arch.layoutSearch, every shard scores each sample it draws (one
+ * Mapper::next, one analyzeNest) under every layout candidate, keeping
+ * one best per (layout, shard); bests merge under (value, layout, shard,
+ * sample) — still bit-identical at any thread count. A fixed arch.layout
+ * is the one-candidate special case. The evaluated/invalid/exhausted
+ * counts are per (layout, shard) unit, the rejected count per draw.
  *
  * With a @p cancel token, shards poll it between samples. A search is
  * all-or-nothing: a token that fires mid-search abandons the whole

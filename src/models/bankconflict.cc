@@ -1,6 +1,10 @@
 #include "cimloop/models/bankconflict.hh"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "cimloop/common/error.hh"
@@ -40,23 +44,34 @@ double
 bankConflictSlowdown(const layout::TensorLayout& tl, const DimSizes& below,
                      const DimSizes& parallel)
 {
-    const std::vector<Dim> canonical = layout::tensorRankDims(tl.tensor);
+    // Runs per (sample, layout candidate, node, tensor) in a co-search,
+    // so it works in fixed-size arrays: no heap allocation.
+    static const std::array<std::vector<Dim>, 3> kCanonical = {
+        layout::tensorRankDims(TensorKind::Input),
+        layout::tensorRankDims(TensorKind::Weight),
+        layout::tensorRankDims(TensorKind::Output)};
+    const std::vector<Dim>& canonical =
+        kCanonical[static_cast<std::size_t>(spec::tensorIndex(tl.tensor))];
+    // Unlisted canonical ranks plus the listed ones (LayoutSpec::validate
+    // keeps the latter distinct ranks of the tensor).
+    constexpr std::size_t kMaxRanks = 2 * workload::kNumDims;
+    CIM_ASSERT(tl.rankOrder.size() <= workload::kNumDims,
+               "rank_order lists more dims than a layer has");
 
     // Physical rank order: canonical ranks not listed stay outermost (in
     // canonical order); listed ranks move innermost, last listed fastest.
-    std::vector<Dim> physical;
-    physical.reserve(canonical.size());
+    std::array<Dim, kMaxRanks> physical{};
+    std::size_t nr = 0;
     for (Dim d : canonical) {
         if (std::find(tl.rankOrder.begin(), tl.rankOrder.end(), d) ==
             tl.rankOrder.end())
-            physical.push_back(d);
+            physical[nr++] = d;
     }
-    physical.insert(physical.end(), tl.rankOrder.begin(),
-                    tl.rankOrder.end());
+    for (Dim d : tl.rankOrder)
+        physical[nr++] = d;
 
     // Element stride of each rank: product of the extents inside it.
-    const std::size_t nr = physical.size();
-    std::vector<std::int64_t> extent(nr), fan(nr), stride(nr);
+    std::array<std::int64_t, kMaxRanks> extent{}, fan{}, stride{};
     std::int64_t cum = 1;
     for (std::size_t r = nr; r-- > 0;) {
         foldRank(tl.tensor, physical[r], below, parallel, extent[r],
@@ -80,18 +95,31 @@ bankConflictSlowdown(const layout::TensorLayout& tl, const DimSizes& below,
     const std::int64_t banks = std::max<std::int64_t>(tl.banks, 1);
     const std::int64_t il = std::max<std::int64_t>(tl.interleave, 1);
     double distinct = 1.0;
-    std::vector<char> seen(static_cast<std::size_t>(banks));
+    // One bit per bank, up to LayoutSpec::validate's cap of 4096 banks.
+    CIM_ASSERT(banks <= 4096, "layout has more than 4096 banks");
+    std::array<std::uint64_t, 4096 / 64> seen;
+    const std::size_t words = static_cast<std::size_t>((banks + 63) / 64);
     for (std::size_t r = 0; r < nr && distinct < requesters; ++r) {
         if (fan[r] <= 1)
             continue;
         std::int64_t sep =
             stride[r] * std::max<std::int64_t>(extent[r] / fan[r], 1);
-        std::fill(seen.begin(), seen.end(), 0);
+        // Bank k is floor(k * sep / il) mod banks, which repeats once
+        // k * sep is a multiple of a whole bank line set (il x banks):
+        // requesters past that period touch no new bank.
+        std::int64_t span = fan[r];
+        if (il <= std::numeric_limits<std::int64_t>::max() / banks) {
+            const std::int64_t lines = il * banks;
+            span = std::min(span, lines / std::gcd(sep, lines));
+        }
+        std::fill(seen.begin(), seen.begin() + words, 0);
         std::int64_t touched = 0;
-        for (std::int64_t k = 0; k < fan[r]; ++k) {
-            std::int64_t bank = (k * sep / il) % banks;
-            if (!seen[static_cast<std::size_t>(bank)]) {
-                seen[static_cast<std::size_t>(bank)] = 1;
+        for (std::int64_t k = 0; k < span; ++k) {
+            const std::uint64_t bank =
+                static_cast<std::uint64_t>((k * sep / il) % banks);
+            const std::uint64_t bit = std::uint64_t{1} << (bank & 63);
+            if (!(seen[bank >> 6] & bit)) {
+                seen[bank >> 6] |= bit;
                 if (++touched == banks)
                     break; // all banks covered; no more spread possible
             }

@@ -56,12 +56,14 @@ ComponentContext::voltageFrequencyFactor() const
 PluginRegistry&
 PluginRegistry::instance()
 {
-    static PluginRegistry registry;
-    static bool initialized = false;
-    if (!initialized) {
-        initialized = true;
-        registerBuiltinModels(registry);
-    }
+    // The built-ins register inside the static's initializer, which C++
+    // runs exactly once and makes concurrent first callers wait for, so
+    // no thread ever sees a half-filled registry.
+    static PluginRegistry& registry = *[] {
+        static PluginRegistry r;
+        registerBuiltinModels(r);
+        return &r;
+    }();
     return registry;
 }
 

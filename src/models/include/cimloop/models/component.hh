@@ -120,7 +120,12 @@ class PluginRegistry
     /** The global registry (built-ins pre-registered). */
     static PluginRegistry& instance();
 
-    /** Registers a model; replaces any model with the same class name. */
+    /**
+     * Registers a model; replaces any model with the same class name.
+     * Not synchronized: call it before the first evaluation (or any
+     * other lookup that may run on a worker thread), never concurrently
+     * with find()/require().
+     */
     void add(std::unique_ptr<ComponentModel> model);
 
     /** Finds a model; nullptr when the class is unknown. */

@@ -844,6 +844,45 @@ TEST(Run, BadTimeoutExitsTwo)
     EXPECT_NE(err.str().find("--timeout"), std::string::npos);
 }
 
+TEST(Run, OutOfRangeOperandBitsExitTwoNamingTheFlag)
+{
+    // The operand models support [1, 16] bits; anything else is a
+    // command-line error, not an internal assertion deep in precompute.
+    for (const char* flag : {"--input-bits", "--weight-bits"}) {
+        for (const char* bits : {"40", "17", "0", "-1"}) {
+            std::ostringstream out, err;
+            EXPECT_EQ(run({"--macro", "base", "--network", "mvm", flag,
+                           bits},
+                          out, err),
+                      2)
+                << flag << " " << bits;
+            EXPECT_NE(err.str().find(std::string(flag) +
+                                     " must be within [1, 16]"),
+                      std::string::npos)
+                << err.str();
+        }
+    }
+    EXPECT_EQ(parse({"--macro", "base", "--network", "mvm",
+                     "--input-bits", "16", "--weight-bits", "1"})
+                  .inputBits,
+              16);
+}
+
+TEST(Run, NonFiniteNetworkTotalIsFatal)
+{
+    // A supply far outside the voltage model's range overflows the
+    // energies; the run must fail instead of printing "-nan uJ".
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"--macro", "base", "--network", "mvm", "--mappings",
+                   "10", "--voltage", "1e200"},
+                  out, err),
+              1);
+    EXPECT_NE(err.str().find("is not finite"), std::string::npos)
+        << err.str();
+    EXPECT_EQ(out.str().find("total energy"), std::string::npos)
+        << out.str();
+}
+
 TEST(Run, ExpiredTimeoutExitsWithDeadlineCode)
 {
     // A 1 ns budget has expired by the first poll: strict mode aborts

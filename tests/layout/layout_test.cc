@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
 #include "cimloop/common/error.hh"
+#include "cimloop/common/util.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/macros/macros.hh"
 #include "cimloop/models/bankconflict.hh"
+#include "cimloop/obs/obs.hh"
 #include "cimloop/workload/networks.hh"
 #include "cimloop/yaml/parser.hh"
 
@@ -371,6 +376,120 @@ TEST(BankConflict, SingleBankLayoutStretchesLatencyOnly)
     EXPECT_GT(laid.bankConflictCycles, 0.0);
     EXPECT_EQ(ideal.energyPj, laid.energyPj);
     EXPECT_EQ(ideal.areaUm2, laid.areaUm2);
+}
+
+TEST(ScoreNest, OneNestScoresEveryLayoutLikeEvaluate)
+{
+    // The co-search analyzes each sample once and scores that one nest
+    // result under every layout candidate. That must equal a full
+    // evaluate() per candidate bit for bit, with leakage (which couples
+    // energy to the layout-dependent latency) on and off.
+    workload::Layer layer = workload::resnet18().layers[8];
+    for (const char* macro : {"base", "A"}) {
+        for (bool leakage : {true, false}) {
+            SCOPED_TRACE(std::string(macro) +
+                         (leakage ? " with leakage" : " without leakage"));
+            engine::Arch arch = macros::macroByName(macro);
+            arch.includeLeakage = leakage;
+            engine::PerActionTable table = engine::precompute(arch, layer);
+            std::vector<ResolvedLayout> resolved;
+            for (const LayoutSpec& c : enumerateLayouts(arch.hierarchy))
+                resolved.push_back(resolveLayout(arch.hierarchy, c));
+            ASSERT_EQ(resolved.size(), 7u);
+
+            mapping::Mapper mapper(arch.hierarchy, table.extLayer);
+            Rng rng = Rng::forStream(7, 0);
+            int rejected = 0, valid = 0, conflicted = 0;
+            for (int i = 0; i < 200; ++i) {
+                std::optional<mapping::Mapping> m =
+                    mapper.next(rng, rejected);
+                ASSERT_TRUE(m.has_value());
+                const mapping::NestResult nest = mapping::analyzeNest(
+                    arch.hierarchy, *m, table.extLayer);
+                valid += nest.valid ? 1 : 0;
+                for (const ResolvedLayout& r : resolved) {
+                    engine::Evaluation one =
+                        engine::scoreNest(arch, table, *m, nest, &r);
+                    engine::Evaluation full =
+                        engine::evaluate(arch, table, *m, &r);
+                    ASSERT_EQ(one.valid, full.valid) << "sample " << i;
+                    EXPECT_EQ(one.invalidReason, full.invalidReason);
+                    EXPECT_EQ(one.energyPj, full.energyPj) << i;
+                    EXPECT_EQ(one.latencyNs, full.latencyNs) << i;
+                    EXPECT_EQ(one.areaUm2, full.areaUm2) << i;
+                    EXPECT_EQ(one.bankConflictCycles,
+                              full.bankConflictCycles)
+                        << i;
+                    EXPECT_EQ(one.nodeEnergyPj, full.nodeEnergyPj) << i;
+                    EXPECT_EQ(one.nodeAreaUm2, full.nodeAreaUm2) << i;
+                    conflicted += one.bankConflictCycles > 0.0 ? 1 : 0;
+                }
+            }
+            // The sample set exercises both outcomes and real conflicts.
+            EXPECT_GT(valid, 0);
+            EXPECT_LT(valid, 200);
+            EXPECT_GT(conflicted, 0);
+        }
+    }
+}
+
+TEST(CoSearch, DrawsEachSampleOnce)
+{
+    // Every layout candidate scores the same draw, so a co-search costs
+    // exactly the mapper samples of a plain search with the same budget.
+    obs::Counter& samples = obs::counter("mapping.mapper.samples");
+    workload::Layer layer = workload::resnet18().layers[8];
+    for (const char* macro : {"base", "A"}) {
+        engine::Arch plain = macros::macroByName(macro);
+        engine::Arch searched = plain;
+        searched.layoutSearch = true;
+        std::uint64_t s0 = samples.value();
+        engine::SearchResult p = engine::searchMappings(
+            plain, layer, 100, 3, engine::Objective::Edp, 2);
+        std::uint64_t s1 = samples.value();
+        engine::SearchResult c = engine::searchMappings(
+            searched, layer, 100, 3, engine::Objective::Edp, 2);
+        std::uint64_t s2 = samples.value();
+        EXPECT_EQ(s2 - s1, s1 - s0) << macro;
+        EXPECT_GE(s1 - s0, 100u) << macro;
+        EXPECT_EQ(c.rejected, p.rejected) << macro;
+    }
+}
+
+TEST(CoSearch, MatchesTheBestOfOneSearchPerFixedLayout)
+{
+    // The joint optimum is the best of the per-candidate searches over
+    // the same sample set, ties going to the earlier candidate; the
+    // evaluated/invalid counts are those searches' sums.
+    workload::Layer layer = workload::resnet18().layers[8];
+    for (std::uint64_t seed : {1u, 2u}) {
+        engine::Arch searched = macros::baseMacro();
+        searched.layoutSearch = true;
+        engine::SearchResult joint = engine::searchMappings(
+            searched, layer, 60, seed, engine::Objective::Delay, 1);
+
+        double best = std::numeric_limits<double>::infinity();
+        engine::SearchResult winner;
+        int evaluated = 0, invalid = 0;
+        for (const LayoutSpec& c : enumerateLayouts(searched.hierarchy)) {
+            engine::Arch fixed = macros::baseMacro();
+            fixed.layout = c;
+            engine::SearchResult r = engine::searchMappings(
+                fixed, layer, 60, seed, engine::Objective::Delay, 1);
+            evaluated += r.evaluated;
+            invalid += r.invalid;
+            if (r.best.latencyNs < best) {
+                best = r.best.latencyNs;
+                winner = r;
+            }
+        }
+        EXPECT_EQ(joint.best.latencyNs, winner.best.latencyNs);
+        EXPECT_EQ(joint.best.energyPj, winner.best.energyPj);
+        EXPECT_TRUE(joint.bestMapping == winner.bestMapping) << seed;
+        EXPECT_EQ(joint.bestLayout.name, winner.bestLayout.name);
+        EXPECT_EQ(joint.evaluated, evaluated);
+        EXPECT_EQ(joint.invalid, invalid);
+    }
 }
 
 TEST(CoSearch, BitIdenticalAcrossThreadCounts)

@@ -345,6 +345,35 @@ TEST(ServeExec, DisconnectCancelMapsToCancelledError)
     EXPECT_EQ(errorKind(doc), "cancelled");
 }
 
+TEST(ServeExec, OperatingPointErrorsMatchOneShotCli)
+{
+    // A rejected flag value is a usage error in both front ends (exit 2
+    // one-shot, kind "usage" in the daemon); a non-finite result is a
+    // fatal error with exit 1 in both.
+    Harness h;
+    auto [bits_rc, bits_out] = oneShot(
+        {"--macro", "base", "--network", "mvm", "--input-bits", "40"});
+    EXPECT_EQ(bits_rc, cli::ExitUsage);
+    JsonValue bits = parseResponse(
+        h.call("{\"id\":1,\"kind\":\"evaluate\",\"macro\":\"base\","
+               "\"network\":\"mvm\",\"input_bits\":40}"));
+    EXPECT_FALSE(okField(bits));
+    EXPECT_EQ(errorKind(bits), "usage");
+
+    auto [volt_rc, volt_out] =
+        oneShot({"--macro", "base", "--network", "mvm", "--mappings", "10",
+                 "--voltage", "1e200"});
+    EXPECT_EQ(volt_rc, cli::ExitFatal);
+    JsonValue volt = parseResponse(
+        h.call("{\"id\":2,\"kind\":\"evaluate\",\"macro\":\"base\","
+               "\"network\":\"mvm\",\"mappings\":10,\"voltage\":1e200}"));
+    EXPECT_FALSE(okField(volt));
+    const JsonValue* exit_code = volt.get("exit");
+    ASSERT_TRUE(exit_code && exit_code->isNumber());
+    EXPECT_EQ(exit_code->number, static_cast<double>(volt_rc));
+    EXPECT_EQ(errorKind(volt), "fatal");
+}
+
 TEST(ServeExec, ExecutionFailureIsStructuredAndSurvivable)
 {
     Harness h;
