@@ -72,8 +72,12 @@ BM_MapperSample(benchmark::State& state)
         engine::precompute(benchArch(), benchLayer());
     mapping::Mapper mapper(benchArch().hierarchy, table.extLayer,
                            {.seed = 1});
+    // As a search shard draws: one stream, one scratch mapping.
+    Rng rng = Rng::forStream(1, 0);
+    mapping::Mapping m;
+    int rejected = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mapper.next());
+        benchmark::DoNotOptimize(mapper.next(rng, rejected, m));
     }
 }
 BENCHMARK(BM_MapperSample);
@@ -86,10 +90,12 @@ BM_NestAnalysis(benchmark::State& state)
     mapping::Mapper mapper(benchArch().hierarchy, table.extLayer,
                            {.seed = 1});
     mapping::Mapping m = mapper.greedy();
+    // As a search shard analyzes: into one scratch result.
+    mapping::NestResult nest;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            mapping::analyzeNest(benchArch().hierarchy, m,
-                                 table.extLayer));
+        mapping::analyzeNest(benchArch().hierarchy, m, table.extLayer,
+                             nest);
+        benchmark::DoNotOptimize(nest);
     }
 }
 BENCHMARK(BM_NestAnalysis);

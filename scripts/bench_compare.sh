@@ -22,9 +22,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
-FILTER="${FILTER:-Convolve|Precompute|RefSim|Gnorm|Arena|SliceMixture|Evaluate|Fault|Obs|Dse}"
+. scripts/bench_filter.sh
 TOLERANCE="${BENCH_TOLERANCE_PCT:-15}"
-GATE_REGEX="${BENCH_GATE_REGEX:-^BM_(PmfConvolveLattice|PmfSliceMixture|Precompute|PrecomputeArena|LatticeConvolveSimd|RefsimGnormWalk|RefSimValueLevel|Evaluate)$}"
+GATE_REGEX="${BENCH_GATE_REGEX:-^BM_(PmfConvolveLattice|PmfSliceMixture|Precompute|PrecomputeArena|LatticeConvolveSimd|RefsimGnormWalk|RefSimValueLevel|Evaluate|MapperSample|NestAnalysis)$}"
 REPORT="${BENCH_REPORT:-${BUILD_DIR}/bench_compare_report.txt}"
 
 BASELINE=""

@@ -12,7 +12,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
-FILTER="${FILTER:-Convolve|Precompute|RefSim|Gnorm|Arena|SliceMixture|Evaluate|Fault|Obs|Dse|BankConflict|CoSearch}"
+. scripts/bench_filter.sh
 OUT="${OUT:-BENCH_$(date +%Y-%m-%d).json}"
 
 if [ ! -x "${BUILD_DIR}/bench/microbench" ]; then

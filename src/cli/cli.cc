@@ -174,9 +174,10 @@ parseInt(const std::string& flag, const std::string& value)
     }
 }
 
-/** An operand precision: the [1, 16] bits the operand models support. */
+/** A bit width (operand precision, DAC slice, bits per cell): the
+ *  [1, 16] bits the operand and encoding models support. */
 int
-parseOperandBits(const std::string& flag, const std::string& value)
+parseBits(const std::string& flag, const std::string& value)
 {
     const std::int64_t v = parseInt(flag, value);
     if (v < 1 || v > 16)
@@ -196,6 +197,17 @@ parseDouble(const std::string& flag, const std::string& value)
     } catch (const std::exception&) {
         CIM_FATAL("flag ", flag, " expects a number, got '", value, "'");
     }
+}
+
+/** A physical quantity (supply voltage, technology node): finite and
+ *  positive. */
+double
+parsePositive(const std::string& flag, const std::string& value)
+{
+    const double v = parseDouble(flag, value);
+    if (!std::isfinite(v) || v <= 0.0)
+        CIM_FATAL(flag, " must be a finite number > 0, got '", value, "'");
+    return v;
 }
 
 } // namespace
@@ -231,17 +243,17 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--objective") {
             opts.objective = value();
         } else if (flag == "--tech") {
-            opts.technologyNm = parseDouble(flag, value());
+            opts.technologyNm = parsePositive(flag, value());
         } else if (flag == "--voltage") {
-            opts.voltage = parseDouble(flag, value());
+            opts.voltage = parsePositive(flag, value());
         } else if (flag == "--dac-bits") {
-            opts.dacBits = static_cast<int>(parseInt(flag, value()));
+            opts.dacBits = parseBits(flag, value());
         } else if (flag == "--cell-bits") {
-            opts.cellBits = static_cast<int>(parseInt(flag, value()));
+            opts.cellBits = parseBits(flag, value());
         } else if (flag == "--input-bits") {
-            opts.inputBits = parseOperandBits(flag, value());
+            opts.inputBits = parseBits(flag, value());
         } else if (flag == "--weight-bits") {
-            opts.weightBits = parseOperandBits(flag, value());
+            opts.weightBits = parseBits(flag, value());
         } else if (flag == "--device") {
             opts.device = value();
         } else if (flag == "--csv") {

@@ -59,9 +59,11 @@ struct CliOptions
     int threads = 1;          //!< --threads N (layer + intra-layer workers)
     std::string objective = "energy"; //!< --objective energy|edp|delay
 
-    double technologyNm = 0.0; //!< --tech NM (override; 0 = keep)
-    double voltage = 0.0;      //!< --voltage V (0 = nominal)
-    int dacBits = 0;           //!< --dac-bits B (YAML archs; 0 = default)
+    // Operating-point overrides; 0 = not given. parseArgs() rejects a
+    // given value outside its range (finite and > 0; bits in [1, 16]).
+    double technologyNm = 0.0; //!< --tech NM
+    double voltage = 0.0;      //!< --voltage V
+    int dacBits = 0;           //!< --dac-bits B
     int cellBits = 0;          //!< --cell-bits B
     int inputBits = 0;         //!< --input-bits B
     int weightBits = 0;        //!< --weight-bits B

@@ -588,6 +588,10 @@ drawShard(const Arch& arch, const PerActionTable& table,
     const int shards = searchShards(num_mappings);
     const int budget =
         num_mappings / shards + (shard < num_mappings % shards ? 1 : 0);
+    // One scratch mapping and nest result for the whole shard: a draw
+    // reuses their buffers instead of allocating.
+    mapping::Mapping m;
+    mapping::NestResult nest;
     for (int i = 0; i < budget; ++i) {
         // Poll between samples, not mid-evaluation. The shard just stops
         // drawing; searchMappings notices the token after the join and
@@ -595,12 +599,12 @@ drawShard(const Arch& arch, const PerActionTable& table,
         // best computed from a truncated sample set.
         if (cancel && cancel->cancelled())
             break;
-        std::optional<mapping::Mapping> m = mapper.next(rng, draw.rejected);
-        if (!m) {
+        if (!mapper.next(rng, draw.rejected, m)) {
             draw.exhausted = true;
             break;
         }
-        visit(*m, mapping::analyzeNest(arch.hierarchy, *m, table.extLayer));
+        mapping::analyzeNest(arch.hierarchy, m, table.extLayer, nest);
+        visit(m, nest);
     }
     return draw;
 }

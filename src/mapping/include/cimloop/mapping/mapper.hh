@@ -11,8 +11,10 @@
 #ifndef CIMLOOP_MAPPING_MAPPER_HH
 #define CIMLOOP_MAPPING_MAPPER_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "cimloop/common/util.hh"
 #include "cimloop/mapping/mapping.hh"
@@ -66,6 +68,14 @@ class Mapper
     std::optional<Mapping> next(Rng& rng, int& rejected) const;
 
     /**
+     * next(rng, rejected) into a caller-owned @p out, reusing its
+     * buffers: a search loop that keeps one scratch Mapping allocates
+     * nothing per draw. Returns false (leaving the last rejected sample
+     * in @p out) when maxAttempts samples in a row fail validation.
+     */
+    bool next(Rng& rng, int& rejected, Mapping& out) const;
+
+    /**
      * Enumerates the COMPLETE mapspace — every valid combination of
      * spatial factors, temporal splits, and per-node loop permutations —
      * for small layers/hierarchies. Fatal when the space exceeds
@@ -85,11 +95,14 @@ class Mapper
     Rng rng;
     std::int64_t num_generated = 0;
 
-    /** Dims that node @p i may map spatially. */
-    std::vector<Dim> allowedSpatialDims(int i) const;
+    // Per-node search data, derived from the hierarchy once.
+    std::vector<DimList> spatial_dims; //!< dims each node may map spatially
+    std::vector<int> temporal_hosts;   //!< loop hosts, outermost first
+    /** Per dim: the outermost host permitting its loop, or -1. */
+    std::array<int, workload::kNumDims> rest_taker{};
 
-    /** One random sample from @p rng (may be invalid). */
-    Mapping sample(Rng& rng) const;
+    /** One random sample from @p rng into @p m (may be invalid). */
+    void sample(Rng& rng, Mapping& m) const;
 };
 
 } // namespace cimloop::mapping

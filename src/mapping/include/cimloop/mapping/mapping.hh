@@ -11,6 +11,7 @@
 #ifndef CIMLOOP_MAPPING_MAPPING_HH
 #define CIMLOOP_MAPPING_MAPPING_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,17 @@ using workload::Dim;
 using workload::DimSizes;
 using workload::Layer;
 using workload::TensorKind;
+
+/** A short list of distinct dims (a loop order, a set of allowed dims),
+ *  held inline. */
+struct DimList
+{
+    std::array<Dim, workload::kNumDims> dims{};
+    int size = 0;
+
+    const Dim* begin() const { return dims.data(); }
+    const Dim* end() const { return dims.data() + size; }
+};
 
 /** Tiling decisions at one hierarchy node. */
 struct LevelMapping
@@ -51,7 +63,7 @@ struct LevelMapping
      * Temporal loop order with defaults applied: every dim with factor
      * > 1 appears exactly once, outermost first.
      */
-    std::vector<Dim> effectiveOrder() const;
+    DimList effectiveOrder() const;
 
     /** Exact structural equality (factors and literal order lists). */
     bool operator==(const LevelMapping&) const = default;

@@ -92,9 +92,19 @@ struct NestResult
  * Runs the nest analysis. Returns an invalid result (with a reason) when
  * the mapping fails validation or a storage capacity ("entries"
  * attribute) is exceeded; never throws for mapping-shaped problems.
+ * Capacity is checked from the tiles alone, before any traffic is
+ * counted, so an invalid result's counts are unspecified.
  */
 NestResult analyzeNest(const spec::Hierarchy& hierarchy,
                        const Mapping& mapping, const Layer& layer);
+
+/**
+ * analyzeNest() into a caller-owned @p result, reusing its node buffer:
+ * a search loop that keeps one scratch result allocates nothing per
+ * sample.
+ */
+void analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
+                 const Layer& layer, NestResult& result);
 
 } // namespace cimloop::mapping
 

@@ -14,12 +14,6 @@ using workload::dimRelevantTo;
 using workload::kAllDims;
 using workload::kAllTensors;
 
-Mapper::Mapper(const spec::Hierarchy& h, const Layer& l, MapperOptions opts)
-    : hierarchy(h), layer(l), options(opts), rng(opts.seed ? opts.seed : 1)
-{
-    CIM_ASSERT(!hierarchy.nodes.empty(), "mapper needs a hierarchy");
-}
-
 namespace {
 
 /** True when node @p n permits a temporal loop over @p d. */
@@ -31,13 +25,12 @@ allowsTemporal(const SpecNode& n, Dim d)
                n.temporalDims.end();
 }
 
-} // namespace
-
-std::vector<Dim>
-Mapper::allowedSpatialDims(int i) const
+/** Dims that @p node may map spatially: its spatial_dims constraint and
+ *  the hard wire-sharing rule. */
+DimList
+allowedSpatialDims(const SpecNode& node)
 {
-    const SpecNode& node = hierarchy.nodes[i];
-    std::vector<Dim> allowed;
+    DimList allowed;
     for (Dim d : kAllDims) {
         if (!node.spatialDims.empty() &&
             std::find(node.spatialDims.begin(), node.spatialDims.end(), d) ==
@@ -54,9 +47,37 @@ Mapper::allowedSpatialDims(int i) const
             }
         }
         if (!conflict)
-            allowed.push_back(d);
+            allowed.dims[allowed.size++] = d;
     }
     return allowed;
+}
+
+} // namespace
+
+Mapper::Mapper(const spec::Hierarchy& h, const Layer& l, MapperOptions opts)
+    : hierarchy(h), layer(l), options(opts), rng(opts.seed ? opts.seed : 1)
+{
+    CIM_ASSERT(!hierarchy.nodes.empty(), "mapper needs a hierarchy");
+    // Temporal loops live at the storage nodes, and at node 0 as the
+    // fallback host when it stores nothing.
+    for (int i = 0; i < static_cast<int>(hierarchy.nodes.size()); ++i) {
+        const SpecNode& node = hierarchy.nodes[i];
+        spatial_dims.push_back(allowedSpatialDims(node));
+        bool stores_any = false;
+        for (TensorKind t : kAllTensors)
+            stores_any = stores_any || node.stores(t);
+        if (stores_any || i == 0)
+            temporal_hosts.push_back(i);
+    }
+    for (Dim d : kAllDims) {
+        rest_taker[dimIndex(d)] = -1;
+        for (int i : temporal_hosts) {
+            if (allowsTemporal(hierarchy.nodes[i], d)) {
+                rest_taker[dimIndex(d)] = i;
+                break;
+            }
+        }
+    }
 }
 
 Mapping
@@ -73,18 +94,16 @@ Mapper::greedy() const
         std::int64_t budget = node.spatialFanout();
         if (budget <= 1)
             continue;
-        for (Dim d : allowedSpatialDims(i)) {
+        for (Dim d : spatial_dims[i]) {
             if (budget <= 1)
                 break;
             std::int64_t rem = remaining[dimIndex(d)];
             if (rem <= 1)
                 continue;
             // Largest divisor of rem that fits the budget.
-            std::int64_t best = 1;
-            for (std::int64_t f : divisorsOf(rem)) {
-                if (f <= budget)
-                    best = f;
-            }
+            const std::vector<std::int64_t>& divs = divisorsOf(rem);
+            const std::int64_t best =
+                *(std::upper_bound(divs.begin(), divs.end(), budget) - 1);
             if (best > 1) {
                 m.levels[i].spatial[dimIndex(d)] = best;
                 remaining[dimIndex(d)] /= best;
@@ -96,37 +115,22 @@ Mapper::greedy() const
     // Temporal: each leftover dimension goes to the outermost storage
     // node whose temporal_dims constraint permits it (node 0 as the
     // fallback host when it stores nothing).
-    std::vector<int> eligible;
-    for (int i = 0; i < num_nodes; ++i) {
-        bool stores_any = false;
-        for (TensorKind t : kAllTensors)
-            stores_any = stores_any || hierarchy.nodes[i].stores(t);
-        if (stores_any || i == 0)
-            eligible.push_back(i);
-    }
     for (Dim d : kAllDims) {
         if (remaining[dimIndex(d)] <= 1)
             continue;
-        bool placed = false;
-        for (int i : eligible) {
-            if (allowsTemporal(hierarchy.nodes[i], d)) {
-                m.levels[i].temporal[dimIndex(d)] =
-                    remaining[dimIndex(d)];
-                placed = true;
-                break;
-            }
-        }
-        if (!placed) {
+        const int host = rest_taker[dimIndex(d)];
+        if (host < 0) {
             CIM_FATAL("no storage node permits a temporal loop over ",
                       workload::dimName(d), " for layer '", layer.name,
                       "' on hierarchy '", hierarchy.name, "'");
         }
+        m.levels[host].temporal[dimIndex(d)] = remaining[dimIndex(d)];
     }
 
     // Weight-stationary loop order everywhere: weight-relevant dims
     // outermost so the innermost block of weight-irrelevant loops
     // (N, P, Q, IB) keeps the array's weights resident.
-    for (int i : eligible) {
+    for (int i : temporal_hosts) {
         m.levels[i].order = {Dim::C, Dim::K, Dim::R, Dim::S, Dim::WB,
                              Dim::N, Dim::P, Dim::Q, Dim::IB};
     }
@@ -135,41 +139,45 @@ Mapper::greedy() const
     return m;
 }
 
-Mapping
-Mapper::sample(Rng& rng) const
+void
+Mapper::sample(Rng& rng, Mapping& m) const
 {
-    Mapping m = Mapping::identity(hierarchy);
-    DimSizes remaining = layer.dims;
     const int num_nodes = static_cast<int>(hierarchy.nodes.size());
+    // Start from the identity mapping, keeping the order buffers.
+    m.levels.resize(num_nodes);
+    for (LevelMapping& lm : m.levels) {
+        lm.temporal = workload::onesDims();
+        lm.spatial = workload::onesDims();
+        lm.order.clear();
+    }
+    DimSizes remaining = layer.dims;
 
     // Spatial factors, innermost first. Bias toward high utilization
     // (the published macros' mappers do the same) but keep the space open.
     for (int i = num_nodes - 1; i >= 0; --i) {
-        const SpecNode& node = hierarchy.nodes[i];
-        std::int64_t budget = node.spatialFanout();
+        std::int64_t budget = hierarchy.nodes[i].spatialFanout();
         if (budget <= 1)
             continue;
-        std::vector<Dim> allowed = allowedSpatialDims(i);
+        DimList allowed = spatial_dims[i];
         // Visit allowed dims in random order.
-        for (std::size_t a = allowed.size(); a > 1; --a)
-            std::swap(allowed[a - 1], allowed[rng.below(a)]);
+        for (int a = allowed.size; a > 1; --a)
+            std::swap(allowed.dims[a - 1], allowed.dims[rng.below(a)]);
         for (Dim d : allowed) {
             if (budget <= 1)
                 break;
             std::int64_t rem = remaining[dimIndex(d)];
             if (rem <= 1)
                 continue;
-            std::vector<std::int64_t> divs;
-            for (std::int64_t f : divisorsOf(rem)) {
-                if (f <= budget)
-                    divs.push_back(f);
-            }
-            std::int64_t f = 1;
-            if (rng.uniform() < 0.7) {
-                f = divs.back(); // largest fitting divisor
-            } else {
-                f = divs[rng.below(divs.size())];
-            }
+            // The divisors that fit the budget: a prefix of the
+            // ascending list, never empty (1 fits).
+            const std::vector<std::int64_t>& divs = divisorsOf(rem);
+            const std::size_t fitting =
+                std::upper_bound(divs.begin(), divs.end(), budget) -
+                divs.begin();
+            const std::int64_t f =
+                rng.uniform() < 0.7
+                    ? divs[fitting - 1] // largest fitting divisor
+                    : divs[rng.below(fitting)];
             if (f > 1) {
                 m.levels[i].spatial[dimIndex(d)] = f;
                 remaining[dimIndex(d)] /= f;
@@ -178,42 +186,28 @@ Mapper::sample(Rng& rng) const
         }
     }
 
-    // Temporal factors: split what remains of each dim across the storage
-    // nodes (inner ones take random divisors; the outermost eligible node
-    // takes the rest).
-    std::vector<int> eligible; // ascending = outermost first
-    for (int i = 0; i < num_nodes; ++i) {
-        bool stores_any = false;
-        for (TensorKind t : kAllTensors)
-            stores_any = stores_any || hierarchy.nodes[i].stores(t);
-        if (stores_any || i == 0)
-            eligible.push_back(i);
-    }
+    // Temporal factors: split what remains of each dim across the loop
+    // hosts (inner ones take random divisors; the outermost host
+    // permitting the dim takes the rest).
     for (Dim d : kAllDims) {
         std::int64_t rem = remaining[dimIndex(d)];
         if (rem <= 1)
             continue;
-        // The outermost node permitting d takes whatever is left.
-        int rest_taker = -1;
-        for (int i : eligible) {
-            if (allowsTemporal(hierarchy.nodes[i], d)) {
-                rest_taker = i;
-                break;
-            }
-        }
-        if (rest_taker < 0)
-            return m; // unmappable dim; caller's check() rejects it
-        // Walk eligible nodes innermost-first, peeling random factors.
-        for (auto it = eligible.rbegin(); it != eligible.rend(); ++it) {
+        const int taker = rest_taker[dimIndex(d)];
+        if (taker < 0)
+            return; // unmappable dim; caller's check() rejects it
+        // Walk the hosts innermost-first, peeling random factors.
+        for (auto it = temporal_hosts.rbegin(); it != temporal_hosts.rend();
+             ++it) {
             int i = *it;
-            if (i == rest_taker) {
+            if (i == taker) {
                 m.levels[i].temporal[dimIndex(d)] *= rem;
                 rem = 1;
                 break;
             }
             if (!allowsTemporal(hierarchy.nodes[i], d))
                 continue;
-            auto divs = divisorsOf(rem);
+            const std::vector<std::int64_t>& divs = divisorsOf(rem);
             std::int64_t f = divs[rng.below(divs.size())];
             if (f > 1) {
                 m.levels[i].temporal[dimIndex(d)] = f;
@@ -227,17 +221,14 @@ Mapper::sample(Rng& rng) const
     }
 
     // Random permutation per node over the dims with temporal loops.
-    for (int i = 0; i < num_nodes; ++i) {
-        std::vector<Dim> order;
+    for (LevelMapping& lm : m.levels) {
         for (Dim d : kAllDims) {
-            if (m.levels[i].temporal[dimIndex(d)] > 1)
-                order.push_back(d);
+            if (lm.temporal[dimIndex(d)] > 1)
+                lm.order.push_back(d);
         }
-        for (std::size_t a = order.size(); a > 1; --a)
-            std::swap(order[a - 1], order[rng.below(a)]);
-        m.levels[i].order = order;
+        for (std::size_t a = lm.order.size(); a > 1; --a)
+            std::swap(lm.order[a - 1], lm.order[rng.below(a)]);
     }
-    return m;
 }
 
 namespace {
@@ -376,15 +367,7 @@ std::vector<Mapping>
 Mapper::exhaustive(std::size_t limit)
 {
     std::vector<Mapping> out;
-    std::vector<int> eligible;
-    for (int i = 0; i < static_cast<int>(hierarchy.nodes.size()); ++i) {
-        bool stores_any = false;
-        for (TensorKind t : kAllTensors)
-            stores_any = stores_any || hierarchy.nodes[i].stores(t);
-        if (stores_any || i == 0)
-            eligible.push_back(i);
-    }
-    Enumerator en{hierarchy, layer, limit, out, eligible};
+    Enumerator en{hierarchy, layer, limit, out, temporal_hosts};
     Mapping m = Mapping::identity(hierarchy);
     en.spatial(m, layer.dims, 0);
     return out;
@@ -403,15 +386,24 @@ Mapper::next()
 std::optional<Mapping>
 Mapper::next(Rng& rng, int& rejected) const
 {
+    Mapping m;
+    if (!next(rng, rejected, m))
+        return std::nullopt;
+    return m;
+}
+
+bool
+Mapper::next(Rng& rng, int& rejected, Mapping& out) const
+{
     static obs::Counter& samples = obs::counter("mapping.mapper.samples");
     for (int attempt = 0; attempt < options.maxAttempts; ++attempt) {
         samples.add();
-        Mapping m = sample(rng);
-        if (m.check(hierarchy, layer).empty())
-            return m;
+        sample(rng, out);
+        if (out.check(hierarchy, layer).empty())
+            return true;
         ++rejected;
     }
-    return std::nullopt;
+    return false;
 }
 
 } // namespace cimloop::mapping

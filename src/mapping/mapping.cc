@@ -32,21 +32,22 @@ LevelMapping::temporalSteps() const
     return steps;
 }
 
-std::vector<Dim>
+DimList
 LevelMapping::effectiveOrder() const
 {
-    std::vector<Dim> out;
-    auto contains = [&out](Dim d) {
-        return std::find(out.begin(), out.end(), d) != out.end();
+    DimList out;
+    unsigned placed = 0; // bit per dim already in out
+    auto add = [&](Dim d) {
+        const unsigned bit = 1u << dimIndex(d);
+        if (temporal[dimIndex(d)] > 1 && !(placed & bit)) {
+            placed |= bit;
+            out.dims[out.size++] = d;
+        }
     };
-    for (Dim d : order) {
-        if (temporal[dimIndex(d)] > 1 && !contains(d))
-            out.push_back(d);
-    }
-    for (Dim d : kAllDims) {
-        if (temporal[dimIndex(d)] > 1 && !contains(d))
-            out.push_back(d);
-    }
+    for (Dim d : order)
+        add(d);
+    for (Dim d : kAllDims)
+        add(d);
     return out;
 }
 
@@ -70,12 +71,13 @@ Mapping::totalSteps() const
 std::string
 Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
 {
-    std::ostringstream err;
+    // Runs on every drawn sample, twice: the message is formatted only
+    // once a violation is found.
+    using cimloop::detail::concatMessage;
     if (levels.size() != hierarchy.nodes.size()) {
-        err << "mapping has " << levels.size() << " levels but hierarchy '"
-            << hierarchy.name << "' has " << hierarchy.nodes.size()
-            << " nodes";
-        return err.str();
+        return concatMessage("mapping has ", levels.size(),
+                             " levels but hierarchy '", hierarchy.name,
+                             "' has ", hierarchy.nodes.size(), " nodes");
     }
 
     // Factor products must reconstruct the layer extents.
@@ -84,9 +86,9 @@ Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
         for (const LevelMapping& lm : levels)
             product *= lm.temporal[dimIndex(d)] * lm.spatial[dimIndex(d)];
         if (product != layer.size(d)) {
-            err << "dimension " << dimName(d) << ": factors multiply to "
-                << product << " but layer has extent " << layer.size(d);
-            return err.str();
+            return concatMessage("dimension ", dimName(d),
+                                 ": factors multiply to ", product,
+                                 " but layer has extent ", layer.size(d));
         }
     }
 
@@ -96,17 +98,17 @@ Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
 
         for (Dim d : kAllDims) {
             if (lm.temporal[dimIndex(d)] < 1 || lm.spatial[dimIndex(d)] < 1) {
-                err << "node '" << node.name << "': non-positive factor for "
-                    << dimName(d);
-                return err.str();
+                return concatMessage("node '", node.name,
+                                     "': non-positive factor for ",
+                                     dimName(d));
             }
         }
 
         if (lm.spatialUsed() > node.spatialFanout()) {
-            err << "node '" << node.name << "': spatial factors use "
-                << lm.spatialUsed() << " instances but the mesh has only "
-                << node.spatialFanout();
-            return err.str();
+            return concatMessage("node '", node.name,
+                                 "': spatial factors use ", lm.spatialUsed(),
+                                 " instances but the mesh has only ",
+                                 node.spatialFanout());
         }
 
         for (Dim d : kAllDims) {
@@ -115,10 +117,9 @@ Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
                 std::find(node.temporalDims.begin(),
                           node.temporalDims.end(),
                           d) == node.temporalDims.end()) {
-                err << "node '" << node.name << "': dimension "
-                    << dimName(d)
-                    << " is not in the node's temporal_dims constraint";
-                return err.str();
+                return concatMessage(
+                    "node '", node.name, "': dimension ", dimName(d),
+                    " is not in the node's temporal_dims constraint");
             }
         }
 
@@ -130,9 +131,9 @@ Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
             if (!node.spatialDims.empty() &&
                 std::find(node.spatialDims.begin(), node.spatialDims.end(),
                           d) == node.spatialDims.end()) {
-                err << "node '" << node.name << "': dimension " << dimName(d)
-                    << " is not in the node's spatial_dims constraint";
-                return err.str();
+                return concatMessage(
+                    "node '", node.name, "': dimension ", dimName(d),
+                    " is not in the node's spatial_dims constraint");
             }
             // Hard wire-sharing: a shared wire (spatial_reuse) cannot carry
             // distinct data, so dims relevant to the reused tensor cannot
@@ -141,18 +142,18 @@ Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
                 for (TensorKind t : kAllTensors) {
                     if (node.spatialReuse[spec::tensorIndex(t)] &&
                         dimRelevantTo(t, d)) {
-                        err << "node '" << node.name << "': "
-                            << workload::tensorName(t)
-                            << " is spatially reused (shared wire) but "
-                            << dimName(d)
-                            << " would put distinct data on the wire";
-                        return err.str();
+                        return concatMessage(
+                            "node '", node.name, "': ",
+                            workload::tensorName(t),
+                            " is spatially reused (shared wire) but ",
+                            dimName(d),
+                            " would put distinct data on the wire");
                     }
                 }
             }
         }
     }
-    return "";
+    return {};
 }
 
 void
@@ -188,10 +189,10 @@ Mapping::toYamlText(const spec::Hierarchy& hierarchy) const
                 }
             }
             oss << "}\n";
-            std::vector<Dim> order = lm.effectiveOrder();
+            const DimList order = lm.effectiveOrder();
             oss << "    order: [";
-            for (std::size_t j = 0; j < order.size(); ++j)
-                oss << (j ? ", " : "") << dimName(order[j]);
+            for (int j = 0; j < order.size; ++j)
+                oss << (j ? ", " : "") << dimName(order.dims[j]);
             oss << "]\n";
         }
         if (any_spatial) {

@@ -16,38 +16,17 @@ using workload::kAllTensors;
 
 namespace {
 
-/** Product of all mapping factors (temporal x spatial) of node @p i for
- *  dims relevant / irrelevant to tensor @p t. */
-std::int64_t
-spatialRelevant(const LevelMapping& lm, TensorKind t)
-{
-    std::int64_t rel = 1;
-    for (Dim d : kAllDims) {
-        if (dimRelevantTo(t, d))
-            rel *= lm.spatial[dimIndex(d)];
-    }
-    return rel;
-}
-
+/** Product of node @p lm's spatial factors over the dims irrelevant to
+ *  tensor @p t: the copies of one datum its mesh fans out. */
 std::int64_t
 spatialIrrelevant(const LevelMapping& lm, TensorKind t)
 {
-    return lm.spatialUsed() / spatialRelevant(lm, t);
-}
-
-/** Extents covered strictly inside node @p i (all factors of nodes > i). */
-DimSizes
-extentsBelow(const Mapping& mapping, int i)
-{
-    DimSizes cum = workload::onesDims();
-    for (std::size_t j = i + 1; j < mapping.levels.size(); ++j) {
-        const LevelMapping& lm = mapping.levels[j];
-        for (Dim d : kAllDims) {
-            cum[dimIndex(d)] *=
-                lm.temporal[dimIndex(d)] * lm.spatial[dimIndex(d)];
-        }
+    std::int64_t irr = 1;
+    for (Dim d : kAllDims) {
+        if (!dimRelevantTo(t, d))
+            irr *= lm.spatial[dimIndex(d)];
     }
-    return cum;
+    return irr;
 }
 
 /**
@@ -63,33 +42,30 @@ extentsBelow(const Mapping& mapping, int i)
  * repeats and must be refetched. Otherwise the tile is stationary.
  */
 double
-temporalEvictions(const spec::Hierarchy& hierarchy, const Mapping& mapping,
-                  TensorKind t, int b)
+temporalEvictions(const Mapping& mapping, TensorKind t, int b)
 {
-    (void)hierarchy;
-    // relevantInside[j] = true when a relevant temporal loop exists at any
-    // node k with j < k <= b.
-    std::vector<bool> relevant_inside(b + 2, false);
-    for (int j = b; j >= 0; --j) {
-        bool here = false;
+    // The innermost node in 0..b holding a relevant temporal loop: a
+    // relevant loop lies inside node j's loops exactly when j is above it.
+    int innermost_relevant = -1;
+    for (int j = b; j >= 0 && innermost_relevant < 0; --j) {
         for (Dim d : kAllDims) {
             if (dimRelevantTo(t, d) &&
                 mapping.levels[j].temporal[dimIndex(d)] > 1) {
-                here = true;
+                innermost_relevant = j;
+                break;
             }
         }
-        relevant_inside[j] = relevant_inside[j + 1] || here;
     }
 
     double product = 1.0;
     for (int j = 0; j <= b; ++j) {
         const LevelMapping& lm = mapping.levels[j];
-        std::vector<Dim> order = lm.effectiveOrder(); // outermost first
+        const DimList order = lm.effectiveOrder(); // outermost first
         // Walk this node's loops innermost-first, tracking whether a
         // relevant loop lies inside the current position.
-        bool relevant_below = relevant_inside[j + 1];
-        for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            Dim d = *it;
+        bool relevant_below = innermost_relevant > j;
+        for (int k = order.size - 1; k >= 0; --k) {
+            Dim d = order.dims[k];
             std::int64_t f = lm.temporal[dimIndex(d)];
             if (dimRelevantTo(t, d)) {
                 product *= static_cast<double>(f);
@@ -112,32 +88,72 @@ reusesSpatially(const SpecNode& node, TensorKind t)
 
 } // namespace
 
-NestResult
+void
 analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
-            const Layer& layer)
+            const Layer& layer, NestResult& result)
 {
-    NestResult result;
+    result.valid = false;
     result.invalidReason = mapping.check(hierarchy, layer);
-    if (!result.invalidReason.empty())
-        return result;
+    if (!result.invalidReason.empty()) {
+        result.nodes.clear();
+        return;
+    }
 
     const int num_nodes = static_cast<int>(hierarchy.nodes.size());
-    result.nodes.resize(num_nodes);
-    result.steps = mapping.totalSteps();
+    result.nodes.assign(num_nodes, NodeCounts{});
 
+    // Tiles at storage nodes (per instance, slice units), from the
+    // extents covered strictly inside each node.
+    DimSizes below = workload::onesDims();
+    for (int i = num_nodes - 1; i >= 0; --i) {
+        for (TensorKind t : kAllTensors) {
+            if (hierarchy.nodes[i].stores(t)) {
+                result.nodes[i].tensors[tensorIndex(t)].tile =
+                    Layer::tensorTile(t, below);
+            }
+        }
+        const LevelMapping& lm = mapping.levels[i];
+        for (Dim d : kAllDims)
+            below[dimIndex(d)] *=
+                lm.temporal[dimIndex(d)] * lm.spatial[dimIndex(d)];
+    }
+
+    // Capacity checks, before any traffic is counted: per-instance
+    // stored tiles must fit an 'entries' attribute when present.
+    static const std::string kEntries = "entries";
+    for (int i = 0; i < num_nodes; ++i) {
+        const SpecNode& node = hierarchy.nodes[i];
+        const auto attr = node.attributes.find(kEntries);
+        if (attr == node.attributes.end())
+            continue;
+        const std::int64_t entries = attr->second.asInt();
+        std::int64_t occupied = 0;
+        for (TensorKind t : kAllTensors) {
+            if (node.stores(t))
+                occupied += result.nodes[i].tensors[tensorIndex(t)].tile;
+        }
+        if (occupied > entries) {
+            // About half of a random search's samples stop here: format
+            // into the result's own buffer, without a stream.
+            result.invalidReason.assign("node '")
+                .append(node.name)
+                .append("': tile of ")
+                .append(std::to_string(occupied))
+                .append(" entries exceeds capacity ")
+                .append(std::to_string(entries));
+            return;
+        }
+    }
+
+    result.steps = mapping.totalSteps();
     result.totalOps = 1.0;
     for (Dim d : kAllDims)
         result.totalOps *= static_cast<double>(layer.size(d));
 
     // Instance counts: node i is replicated by the spatial factors of all
-    // nodes scoping it (indices < i).
+    // nodes scoping it (indices < i) and by its own mesh.
+    std::int64_t used = 1, total = 1;
     for (int i = 0; i < num_nodes; ++i) {
-        std::int64_t used = 1, total = 1;
-        for (int j = 0; j < i; ++j) {
-            used *= mapping.levels[j].spatialUsed();
-            total *= hierarchy.nodes[j].spatialFanout();
-        }
-        // A node's own mesh also contributes to its own instance count.
         used *= mapping.levels[i].spatialUsed();
         total *= hierarchy.nodes[i].spatialFanout();
         result.nodes[i].usedInstances = used;
@@ -147,50 +163,29 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
     }
     result.innermostParallelism = result.nodes[num_nodes - 1].usedInstances;
 
-    // Per-tensor traffic analysis.
+    // Per-tensor traffic analysis. Demand segments run from each source
+    // (compute, or a storage node) up to the next outer storage node (the
+    // sink, or the top), innermost first. Segments cover disjoint node
+    // ranges, so each count is written by exactly one segment.
     for (TensorKind t : kAllTensors) {
         const int ti = tensorIndex(t);
-
-        // Storage nodes for t, ascending index (outermost first).
-        std::vector<int> storages;
-        for (int i = 0; i < num_nodes; ++i) {
-            if (hierarchy.nodes[i].stores(t))
-                storages.push_back(i);
-        }
-        CIM_ASSERT(!storages.empty(), "validate() guarantees storage for ",
-                   workload::tensorName(t));
-
-        // Tiles at storage nodes (per instance, slice units).
-        for (int b : storages) {
-            DimSizes below = extentsBelow(mapping, b);
-            result.nodes[b].tensors[ti].tile =
-                Layer::tensorTile(t, below);
-        }
-
-        // Demand segments run from each source (compute, or an inner
-        // storage node) up to the next outer storage node (or the top).
-        // sources[k] pairs with sink storages[k]; the innermost segment's
-        // source is compute (index num_nodes, raw demand = totalOps).
-        for (std::size_t seg = 0; seg <= storages.size(); ++seg) {
-            // Segment seg: from source (inner) to sink (outer).
-            //   seg == storages.size(): source = compute, sink =
-            //     storages.back().
-            //   otherwise: source = storages[seg], sink = storages[seg-1]
-            //     (seg == 0: sink = top of hierarchy).
-            int source; // node index of the source; num_nodes = compute
-            int sink;   // node index of the sink; -1 = top
+        for (int source = num_nodes; source >= 0;) {
+            // source: node index of the source; num_nodes = compute.
+            // sink: node index of the sink; -1 = top.
+            int sink = source - 1;
+            while (sink >= 0 && !hierarchy.nodes[sink].stores(t))
+                --sink;
+            CIM_ASSERT(source < num_nodes || sink >= 0,
+                       "the hierarchy guarantees storage for ",
+                       workload::tensorName(t));
             double stream;
             double pending = 1.0; // unmerged spatial partials (Outputs)
 
-            if (seg == storages.size()) {
-                source = num_nodes;
-                sink = storages.back();
+            if (source == num_nodes) {
                 // Compute demand: every unit op touches the tensor once.
                 // All mapping factors are already included in totalOps.
                 stream = result.totalOps;
             } else {
-                source = storages[seg];
-                sink = seg == 0 ? -1 : storages[seg - 1];
                 // Demand the source storage places on its parent side,
                 // measured at its instance boundary (one term per
                 // instance, copies included): tile x every spatial factor
@@ -201,7 +196,7 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
                     stream *= static_cast<double>(
                         mapping.levels[j].spatialUsed());
                 }
-                stream *= temporalEvictions(hierarchy, mapping, t, source);
+                stream *= temporalEvictions(mapping, t, source);
             }
 
             // Walk node boundaries from the source's own mesh boundary
@@ -247,30 +242,19 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
                 // Outputs).
                 result.nodes[sink].tensors[ti].reads += stream;
             }
-        }
-    }
-
-    // Capacity checks: per-instance stored tiles must fit an 'entries'
-    // attribute when present.
-    for (int i = 0; i < num_nodes; ++i) {
-        const SpecNode& node = hierarchy.nodes[i];
-        if (!node.hasAttr("entries"))
-            continue;
-        std::int64_t entries = node.attrInt("entries", 0);
-        std::int64_t occupied = 0;
-        for (TensorKind t : kAllTensors) {
-            if (node.stores(t))
-                occupied += result.nodes[i].tensors[tensorIndex(t)].tile;
-        }
-        if (occupied > entries) {
-            result.invalidReason = cimloop::detail::concatMessage(
-                "node '", node.name, "': tile of ", occupied,
-                " entries exceeds capacity ", entries);
-            return result;
+            source = sink;
         }
     }
 
     result.valid = true;
+}
+
+NestResult
+analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
+            const Layer& layer)
+{
+    NestResult result;
+    analyzeNest(hierarchy, mapping, layer, result);
     return result;
 }
 

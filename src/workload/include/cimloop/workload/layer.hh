@@ -90,9 +90,24 @@ TensorKind tensorFromString(const std::string& name);
 
 /**
  * True when dimension @p d indexes tensor @p t (coupled dims P/R and Q/S
- * both count as relevant to Inputs).
+ * both count as relevant to Inputs). Inline: the mapper and the nest
+ * analysis ask it several hundred times per sample.
  */
-bool dimRelevantTo(TensorKind t, Dim d);
+constexpr bool
+dimRelevantTo(TensorKind t, Dim d)
+{
+    switch (t) {
+      case TensorKind::Input:
+        return d == Dim::N || d == Dim::C || d == Dim::P || d == Dim::Q ||
+               d == Dim::R || d == Dim::S || d == Dim::IB;
+      case TensorKind::Weight:
+        return d == Dim::C || d == Dim::K || d == Dim::R || d == Dim::S ||
+               d == Dim::WB;
+      case TensorKind::Output:
+        return d == Dim::N || d == Dim::K || d == Dim::P || d == Dim::Q;
+    }
+    return false;
+}
 
 /** True when @p d is a pure reduction dimension (C, R, or S). */
 bool isReductionDim(Dim d);

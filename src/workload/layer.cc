@@ -74,22 +74,6 @@ tensorFromString(const std::string& name)
 }
 
 bool
-dimRelevantTo(TensorKind t, Dim d)
-{
-    switch (t) {
-      case TensorKind::Input:
-        return d == Dim::N || d == Dim::C || d == Dim::P || d == Dim::Q ||
-               d == Dim::R || d == Dim::S || d == Dim::IB;
-      case TensorKind::Weight:
-        return d == Dim::C || d == Dim::K || d == Dim::R || d == Dim::S ||
-               d == Dim::WB;
-      case TensorKind::Output:
-        return d == Dim::N || d == Dim::K || d == Dim::P || d == Dim::Q;
-    }
-    return false;
-}
-
-bool
 isReductionDim(Dim d)
 {
     return d == Dim::C || d == Dim::R || d == Dim::S || d == Dim::IB ||

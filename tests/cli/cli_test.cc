@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -866,6 +868,49 @@ TEST(Run, OutOfRangeOperandBitsExitTwoNamingTheFlag)
                      "--input-bits", "16", "--weight-bits", "1"})
                   .inputBits,
               16);
+}
+
+TEST(Run, OutOfRangeOperatingPointExitTwoNamingTheFlag)
+{
+    // Slice widths share the operand models' [1, 16] bits; voltage and
+    // technology must be finite and positive. A value outside its range
+    // is a command-line error, never silently ignored or accepted.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--dac-bits", "64"},   {"--dac-bits", "0"},
+        {"--dac-bits", "17"},   {"--cell-bits", "40"},
+        {"--cell-bits", "0"},   {"--cell-bits", "-2"},
+    };
+    for (const auto& [flag, bits] : cases) {
+        std::ostringstream out, err;
+        EXPECT_EQ(run({"--macro", "base", "--network", "mvm", flag, bits},
+                      out, err),
+                  2)
+            << flag << " " << bits;
+        EXPECT_NE(err.str().find(flag + " must be within [1, 16]"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str().find("total energy"), std::string::npos);
+    }
+    for (const char* flag : {"--voltage", "--tech"}) {
+        for (const char* v : {"0", "-1", "nan", "inf"}) {
+            std::ostringstream out, err;
+            EXPECT_EQ(run({"--macro", "base", "--network", "mvm", flag, v},
+                          out, err),
+                      2)
+                << flag << " " << v;
+            EXPECT_NE(err.str().find(std::string(flag) +
+                                     " must be a finite number > 0"),
+                      std::string::npos)
+                << err.str();
+        }
+    }
+    const CliOptions ok =
+        parse({"--macro", "base", "--network", "mvm", "--dac-bits", "16",
+               "--cell-bits", "1", "--voltage", "0.8", "--tech", "22"});
+    EXPECT_EQ(ok.dacBits, 16);
+    EXPECT_EQ(ok.cellBits, 1);
+    EXPECT_DOUBLE_EQ(ok.voltage, 0.8);
+    EXPECT_DOUBLE_EQ(ok.technologyNm, 22.0);
 }
 
 TEST(Run, NonFiniteNetworkTotalIsFatal)

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cimloop/cli/cli.hh"
@@ -359,6 +360,32 @@ TEST(ServeExec, OperatingPointErrorsMatchOneShotCli)
                "\"network\":\"mvm\",\"input_bits\":40}"));
     EXPECT_FALSE(okField(bits));
     EXPECT_EQ(errorKind(bits), "usage");
+
+    // Out-of-range slice widths and non-positive physical quantities are
+    // usage errors in both front ends too.
+    const std::vector<std::tuple<std::string, std::string, std::string>>
+        out_of_range = {{"--dac-bits", "dac_bits", "64"},
+                        {"--dac-bits", "dac_bits", "0"},
+                        {"--cell-bits", "cell_bits", "40"},
+                        {"--voltage", "voltage", "0"},
+                        {"--voltage", "voltage", "-0.5"},
+                        {"--tech", "tech_nm", "0"}};
+    int id = 100;
+    for (const auto& [flag, field, value] : out_of_range) {
+        auto [rc, out] =
+            oneShot({"--macro", "base", "--network", "mvm", flag, value});
+        EXPECT_EQ(rc, cli::ExitUsage) << flag << " " << value;
+        JsonValue doc = parseResponse(h.call(
+            "{\"id\":" + std::to_string(++id) +
+            ",\"kind\":\"evaluate\",\"macro\":\"base\","
+            "\"network\":\"mvm\",\"" + field + "\":" + value + "}"));
+        EXPECT_FALSE(okField(doc)) << field << " " << value;
+        EXPECT_EQ(errorKind(doc), "usage") << field << " " << value;
+        const JsonValue* message = doc.get("error")->get("message");
+        ASSERT_TRUE(message && message->isString());
+        EXPECT_NE(message->text.find(flag), std::string::npos)
+            << message->text;
+    }
 
     auto [volt_rc, volt_out] =
         oneShot({"--macro", "base", "--network", "mvm", "--mappings", "10",
