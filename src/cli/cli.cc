@@ -174,17 +174,6 @@ parseInt(const std::string& flag, const std::string& value)
     }
 }
 
-/** A bit width (operand precision, DAC slice, bits per cell): the
- *  [1, 16] bits the operand and encoding models support. */
-int
-parseBits(const std::string& flag, const std::string& value)
-{
-    const std::int64_t v = parseInt(flag, value);
-    if (v < 1 || v > 16)
-        CIM_FATAL(flag, " must be within [1, 16] bits, got ", v);
-    return static_cast<int>(v);
-}
-
 double
 parseDouble(const std::string& flag, const std::string& value)
 {
@@ -199,15 +188,22 @@ parseDouble(const std::string& flag, const std::string& value)
     }
 }
 
-/** A physical quantity (supply voltage, technology node): finite and
- *  positive. */
+/** A flag that sets a numeric design field: read as the field's integer
+ *  or real and checked against its dse::numericFields() range. */
 double
-parsePositive(const std::string& flag, const std::string& value)
+parseField(const std::string& flag, const std::string& value)
 {
-    const double v = parseDouble(flag, value);
-    if (!std::isfinite(v) || v <= 0.0)
-        CIM_FATAL(flag, " must be a finite number > 0, got '", value, "'");
-    return v;
+    for (const dse::NumericField& field : dse::numericFields()) {
+        if (!field.flag || flag != field.flag)
+            continue;
+        const double v = field.range.integer
+                             ? static_cast<double>(parseInt(flag, value))
+                             : parseDouble(flag, value);
+        if (const char* want = field.rangeError(v))
+            CIM_FATAL(flag, " must be ", want, ", got ", value);
+        return v;
+    }
+    CIM_PANIC("no numeric field for ", flag);
 }
 
 } // namespace
@@ -234,26 +230,28 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--workload") {
             opts.workloadPath = value();
         } else if (flag == "--mappings") {
-            opts.mappings = static_cast<int>(parseInt(flag, value()));
+            opts.mappings = static_cast<int>(parseField(flag, value()));
         } else if (flag == "--seed") {
             opts.seed = static_cast<std::uint64_t>(parseInt(flag, value()));
             opts.seedGiven = true;
         } else if (flag == "--threads") {
             opts.threads = static_cast<int>(parseInt(flag, value()));
+            if (opts.threads < 1)
+                CIM_FATAL("--threads must be >= 1");
         } else if (flag == "--objective") {
             opts.objective = value();
         } else if (flag == "--tech") {
-            opts.technologyNm = parsePositive(flag, value());
+            opts.technologyNm = parseField(flag, value());
         } else if (flag == "--voltage") {
-            opts.voltage = parsePositive(flag, value());
+            opts.voltage = parseField(flag, value());
         } else if (flag == "--dac-bits") {
-            opts.dacBits = parseBits(flag, value());
+            opts.dacBits = static_cast<int>(parseField(flag, value()));
         } else if (flag == "--cell-bits") {
-            opts.cellBits = parseBits(flag, value());
+            opts.cellBits = static_cast<int>(parseField(flag, value()));
         } else if (flag == "--input-bits") {
-            opts.inputBits = parseBits(flag, value());
+            opts.inputBits = static_cast<int>(parseField(flag, value()));
         } else if (flag == "--weight-bits") {
-            opts.weightBits = parseBits(flag, value());
+            opts.weightBits = static_cast<int>(parseField(flag, value()));
         } else if (flag == "--device") {
             opts.device = value();
         } else if (flag == "--csv") {
@@ -271,13 +269,13 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--faults") {
             opts.faultsPath = value();
         } else if (flag == "--fault-stuck-rate") {
-            opts.faultStuckRate = parseDouble(flag, value());
+            opts.faultStuckRate = parseField(flag, value());
             if (opts.faultStuckRate < 0.0 || opts.faultStuckRate > 1.0) {
                 CIM_FATAL("--fault-stuck-rate must be within [0, 1], "
                           "got ", opts.faultStuckRate);
             }
         } else if (flag == "--fault-sigma") {
-            opts.faultSigma = parseDouble(flag, value());
+            opts.faultSigma = parseField(flag, value());
             if (opts.faultSigma < 0.0)
                 CIM_FATAL("--fault-sigma must be >= 0, got ",
                           opts.faultSigma);
@@ -356,8 +354,6 @@ parseArgs(const std::vector<std::string>& args)
                 CIM_FATAL("--sweep explores layouts through a 'layout' "
                           "axis in the spec; drop --layout/"
                           "--layout-search");
-            if (opts.threads < 1)
-                CIM_FATAL("--threads must be >= 1");
             return opts;
         }
         if (!opts.jsonPath.empty())
@@ -389,14 +385,7 @@ parseArgs(const std::vector<std::string>& args)
         }
         if (opts.networkName.empty() == opts.workloadPath.empty())
             CIM_FATAL("specify exactly one of --network or --workload");
-        if (opts.mappings < 1)
-            CIM_FATAL("--mappings must be >= 1");
-        if (opts.threads < 1)
-            CIM_FATAL("--threads must be >= 1");
-        if (opts.objective != "energy" && opts.objective != "edp" &&
-            opts.objective != "delay") {
-            CIM_FATAL("--objective must be energy, edp, or delay");
-        }
+        dse::objectiveFromName(opts.objective, "--objective");
     }
     return opts;
 }
@@ -413,18 +402,12 @@ buildArch(const CliOptions& opts)
         arch.name = opts.archPath;
         arch.hierarchy = spec::Hierarchy::fromFile(opts.archPath);
     }
-    if (opts.technologyNm > 0.0)
-        arch.technologyNm = opts.technologyNm;
-    if (opts.voltage > 0.0)
-        arch.supplyVoltage = opts.voltage;
-    if (opts.dacBits > 0)
-        arch.rep.dacBits = opts.dacBits;
-    if (opts.cellBits > 0)
-        arch.rep.cellBits = opts.cellBits;
-    if (opts.inputBits > 0)
-        arch.rep.inputBits = opts.inputBits;
-    if (opts.weightBits > 0)
-        arch.rep.weightBits = opts.weightBits;
+    arch.technologyNm = opts.technologyNm.value_or(arch.technologyNm);
+    arch.supplyVoltage = opts.voltage.value_or(arch.supplyVoltage);
+    arch.rep.dacBits = opts.dacBits.value_or(arch.rep.dacBits);
+    arch.rep.cellBits = opts.cellBits.value_or(arch.rep.cellBits);
+    arch.rep.inputBits = opts.inputBits.value_or(arch.rep.inputBits);
+    arch.rep.weightBits = opts.weightBits.value_or(arch.rep.weightBits);
     if (!opts.device.empty()) {
         const models::DevicePreset& preset =
             models::devicePreset(opts.device);
@@ -462,16 +445,6 @@ buildWorkload(const CliOptions& opts)
     return workload::networkFromFile(opts.workloadPath);
 }
 
-engine::Objective
-objectiveFromString(const std::string& s)
-{
-    if (s == "edp")
-        return engine::Objective::Edp;
-    if (s == "delay")
-        return engine::Objective::Delay;
-    return engine::Objective::Energy;
-}
-
 int
 runRefSim(const CliOptions& opts, const faults::FaultModel& fault_model,
           const CancelToken& token, std::ostream& out)
@@ -484,16 +457,11 @@ runRefSim(const CliOptions& opts, const faults::FaultModel& fault_model,
     cfg.seed = opts.seed;
     cfg.maxVectors = opts.refsimVectors;
     cfg.faults = fault_model;
-    if (opts.inputBits > 0)
-        cfg.inputBits = opts.inputBits;
-    if (opts.weightBits > 0)
-        cfg.weightBits = opts.weightBits;
-    if (opts.dacBits > 0)
-        cfg.dacBits = opts.dacBits;
-    if (opts.cellBits > 0)
-        cfg.cellBits = opts.cellBits;
-    if (opts.technologyNm > 0.0)
-        cfg.technologyNm = opts.technologyNm;
+    cfg.inputBits = opts.inputBits.value_or(cfg.inputBits);
+    cfg.weightBits = opts.weightBits.value_or(cfg.weightBits);
+    cfg.dacBits = opts.dacBits.value_or(cfg.dacBits);
+    cfg.cellBits = opts.cellBits.value_or(cfg.cellBits);
+    cfg.technologyNm = opts.technologyNm.value_or(cfg.technologyNm);
 
     const bool faulty = fault_model.enabled();
 
@@ -767,6 +735,8 @@ runParsed(const CliOptions& opts, const CancelToken& token,
 
         engine::Arch arch = buildArch(opts);
         arch.faults = fault_model;
+        const engine::Objective objective =
+            dse::objectiveFromName(opts.objective, "--objective");
         if (!opts.layoutPath.empty())
             arch.layout = layout::LayoutSpec::fromFile(opts.layoutPath);
         arch.layoutSearch = opts.layoutSearch;
@@ -818,8 +788,7 @@ runParsed(const CliOptions& opts, const CancelToken& token,
                 << ", seed " << opts.seed << ")\n\n";
             ev = engine::evaluateNetworkParallel(
                 arch, net, opts.threads, opts.mappings, opts.seed,
-                objectiveFromString(opts.objective), opts.keepGoing,
-                &token);
+                objective, opts.keepGoing, &token);
         }
 
         // A total that overflowed (an operating point far outside the
@@ -866,8 +835,7 @@ runParsed(const CliOptions& opts, const CancelToken& token,
             engine::NetworkEvaluation clean =
                 engine::evaluateNetworkParallel(
                     clean_arch, net, opts.threads, opts.mappings,
-                    opts.seed, objectiveFromString(opts.objective),
-                    opts.keepGoing, &token);
+                    opts.seed, objective, opts.keepGoing, &token);
             char fl[160];
             out << "per-layer degradation vs fault-free baseline:\n";
             std::snprintf(fl, sizeof(fl), "%-24s %14s %14s %8s\n",
@@ -947,7 +915,8 @@ runParsed(const CliOptions& opts, const CancelToken& token,
     } catch (const CancelledError& e) {
         err << e.what() << "\n";
         return cancelExitCode(e.reason());
-    } catch (const FatalError& e) {
+    } catch (const std::exception& e) {
+        // FatalError, or a PanicError: exit 1 here and in the daemon.
         err << e.what() << "\n";
         return ExitFatal;
     }

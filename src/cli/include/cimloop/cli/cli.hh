@@ -14,6 +14,7 @@
 #ifndef CIMLOOP_CLI_CLI_HH
 #define CIMLOOP_CLI_CLI_HH
 
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -59,15 +60,15 @@ struct CliOptions
     int threads = 1;          //!< --threads N (layer + intra-layer workers)
     std::string objective = "energy"; //!< --objective energy|edp|delay
 
-    // Operating-point overrides; 0 = not given. parseArgs() rejects a
-    // given value outside its range (finite and > 0; bits in [1, 16]).
-    double technologyNm = 0.0; //!< --tech NM
-    double voltage = 0.0;      //!< --voltage V
-    int dacBits = 0;           //!< --dac-bits B
-    int cellBits = 0;          //!< --cell-bits B
-    int inputBits = 0;         //!< --input-bits B
-    int weightBits = 0;        //!< --weight-bits B
-    std::string device;        //!< --device reram|pcm|stt-mram|fefet|sram
+    // Operating-point overrides, unset unless given. parseArgs() checks
+    // a given value against its dse::numericFields() range.
+    std::optional<double> technologyNm; //!< --tech NM
+    std::optional<double> voltage;      //!< --voltage V
+    std::optional<int> dacBits;         //!< --dac-bits B
+    std::optional<int> cellBits;        //!< --cell-bits B
+    std::optional<int> inputBits;       //!< --input-bits B
+    std::optional<int> weightBits;      //!< --weight-bits B
+    std::string device; //!< --device reram|pcm|stt-mram|fefet|sram
 
     std::string csvPath;     //!< --csv <file>: per-layer CSV dump
     std::string ertPath;     //!< --ert <file>: energy-reference-table dump
@@ -194,8 +195,8 @@ int run(const std::vector<std::string>& args, std::ostream& out,
  * harness byte-compares the two — because cached per-action tables are
  * pure values: hitting a warm cache changes counters, never results.
  *
- * FatalError/CancelledError are caught and mapped to exit codes exactly
- * as run() maps them; @p opts must already be validated (parseArgs).
+ * CancelledError maps to its exit code, any other exception (a
+ * PanicError too) to ExitFatal; @p opts must already be validated.
  */
 int runParsed(const CliOptions& opts, const CancelToken& token,
               std::ostream& out, std::ostream& err);

@@ -132,8 +132,9 @@ sliceMixture(const EncodedTensor& full, int slice_bits)
 EncodedTensor
 encodeOperands(const Pmf& operands, Encoding e, int operand_bits)
 {
-    CIM_ASSERT(operand_bits >= 1 && operand_bits <= 32,
-               "operand bits out of range: ", operand_bits);
+    if (operand_bits < 1 || operand_bits > 32)
+        CIM_FATAL("cannot encode ", operand_bits, "-bit operands (the "
+                  "encodings cover 1 to 32 bits)");
     if (operands.empty())
         CIM_FATAL("cannot encode an empty operand PMF");
 

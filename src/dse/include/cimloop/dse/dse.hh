@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,11 +93,16 @@ struct SweepPoint;
  *     faults:                     # base fault model (axes override)
  *       conductance_sigma: 0.1
  *
- * Axis fields: rows, cols, array, dac_bits, adc_bits, cell_bits,
- * input_bits, weight_bits, voltage, tech_nm, buffer_kb, mappings,
- * fault_stuck_rate, stuck_off_rate, stuck_on_rate, fault_sigma,
- * adc_offset, adc_noise_sigma, fault_seed, and the string-valued
- * macro / network / layout.
+ * Numeric axis and constraint fields, one numericFields() row each (an
+ * axis value outside its range fails validateGrid()): rows, cols, array
+ * (both), buffer_kb, mappings are integers in [1, 2^31 - 1]; dac_bits,
+ * adc_bits, cell_bits, input_bits, weight_bits integers in [1, 16];
+ * voltage, tech_nm finite and > 0; fault_seed an integer in [0, 2^64);
+ * fault_stuck_rate (split evenly), stuck_off_rate, stuck_on_rate,
+ * conductance_sigma (alias fault_sigma), adc_offset, adc_noise_sigma
+ * finite, with FaultModel::validate() checking them per point. Ranges
+ * say what is well formed, not what the models cover: adc_bits 15 fails
+ * at the ADC model, per point. String fields: macro, network, layout.
  */
 struct SweepSpec
 {
@@ -199,6 +205,39 @@ struct SweepPoint
     double fieldValue(const std::string& field) const;
 };
 
+/** One numeric design field: the row that sweep axes and constraints,
+ *  CLI flags and serve requests all read. */
+struct NumericField
+{
+    /** Admitted values: within [lo, hi] (so finite), whole if integer. */
+    struct Range
+    {
+        bool integer;
+        double lo, hi;
+        const char* text; //!< the range in words, for error messages
+    };
+
+    const char* name; //!< sweep axis / constraint / serve field name
+    const char* flag; //!< CLI flag that sets it; nullptr when none
+    Range range;
+    double (*get)(const SweepPoint&);
+    void (*set)(SweepPoint&, double); //!< @p v must pass the range
+
+    /** nullptr when @p v is in range, else what it must be ("within
+     *  [1, 16]", "an integer", ...). */
+    const char* rangeError(double v) const;
+};
+
+/** energy, edp or delay (any case); fatal naming @p key otherwise. */
+engine::Objective objectiveFromName(const std::string& name,
+                                    const char* key);
+
+/** Every numeric design field, in documentation order. */
+std::span<const NumericField> numericFields();
+
+/** The field named @p name, or nullptr. */
+const NumericField* findNumericField(const std::string& name);
+
 /**
  * Materializes grid point @p index of @p spec: axis values apply in
  * declaration order (string axes resolve the macro defaults first), the
@@ -299,6 +338,29 @@ struct PointResult
      *  engine-touched points. */
     bool engineTouched = false;
 };
+
+/** One exported per-point metric: its CSV/JSON column, its Pareto
+ *  objective name (nullptr when it is not one), and its slot. The
+ *  exporters, the journal and the Pareto fold all walk this one list. */
+struct PointMetric
+{
+    const char* column;
+    const char* objective;
+    double PointResult::*value;
+};
+
+inline constexpr PointMetric kPointMetrics[] = {
+    {"energy_pj", "energy", &PointResult::energyPj},
+    {"energy_per_mac_pj", "energy_per_mac", &PointResult::energyPerMacPj},
+    {"latency_ns", "latency", &PointResult::latencyNs},
+    {"area_um2", "area", &PointResult::areaUm2},
+    {"macs", nullptr, &PointResult::macs},
+    {"tops_per_watt", nullptr, &PointResult::topsPerWatt},
+    {"accuracy_loss", "accuracy", &PointResult::accuracyLoss},
+};
+
+/** The metric the Pareto objective @p name reads, or nullptr. */
+const PointMetric* findObjectiveMetric(const std::string& name);
 
 /** True when @p pr carries a non-finite (NaN/inf) exported metric;
  *  returns the metric's CSV/JSON field name, else nullptr. Points that

@@ -42,9 +42,9 @@
 
 namespace cimloop::dse {
 
-/** Number of metric doubles a journal record carries (the PointResult
- *  metric block, in declaration order). */
-constexpr std::size_t kJournalMetricCount = 7;
+/** Number of metric doubles a journal record carries (kPointMetrics,
+ *  in order). */
+constexpr std::size_t kJournalMetricCount = std::size(kPointMetrics);
 
 /**
  * Append-only POSIX-fd writer. The journal needs real fsync for its

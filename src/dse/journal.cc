@@ -157,11 +157,8 @@ recordLine(const PointResult& pr)
         << pointStatusName(pr.status)
         << "\",\"eng\":" << (pr.engineTouched ? 1 : 0) << ",\"d\":\""
         << detail::jsonEscape(pr.statusDetail) << "\",\"m\":[";
-    const double m[kJournalMetricCount] = {
-        pr.energyPj, pr.energyPerMacPj, pr.latencyNs, pr.areaUm2,
-        pr.macs,     pr.topsPerWatt,    pr.accuracyLoss};
     for (std::size_t k = 0; k < kJournalMetricCount; ++k)
-        oss << (k ? "," : "") << detail::fmtFull(m[k]);
+        oss << (k ? "," : "") << detail::fmtFull(pr.*kPointMetrics[k].value);
     oss << "]}";
     return oss.str();
 }

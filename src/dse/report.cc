@@ -176,8 +176,10 @@ toCsv(const SweepResult& result)
     oss << "point";
     for (const std::string& field : result.axisFields)
         oss << ',' << field;
-    oss << ",status,energy_pj,energy_per_mac_pj,latency_ns,area_um2,"
-           "macs,tops_per_watt,accuracy_loss,pareto,detail\n";
+    oss << ",status";
+    for (const PointMetric& m : kPointMetrics)
+        oss << ',' << m.column;
+    oss << ",pareto,detail\n";
     for (const PointResult& pr : result.points) {
         oss << pr.point.index;
         // One column per axis field, padded with empty cells when the
@@ -186,13 +188,9 @@ toCsv(const SweepResult& result)
             oss << ',' << csvField(axisTextAt(pr, a));
         oss << ',' << pointStatusName(pr.status);
         if (pr.status == PointStatus::Ok) {
-            oss << ',' << fmtNum(pr.energyPj) << ','
-                << fmtNum(pr.energyPerMacPj) << ','
-                << fmtNum(pr.latencyNs) << ',' << fmtNum(pr.areaUm2)
-                << ',' << fmtNum(pr.macs) << ','
-                << fmtNum(pr.topsPerWatt) << ','
-                << fmtNum(pr.accuracyLoss) << ','
-                << (pr.onFrontier ? 1 : 0) << ',';
+            for (const PointMetric& m : kPointMetrics)
+                oss << ',' << fmtNum(pr.*m.value);
+            oss << ',' << (pr.onFrontier ? 1 : 0) << ',';
         } else {
             oss << ",,,,,,,,0," << csvField(pr.statusDetail);
         }
@@ -241,16 +239,9 @@ toJson(const SweepResult& result)
         }
         oss << "}, \"status\": \"" << pointStatusName(pr.status) << '"';
         if (pr.status == PointStatus::Ok) {
-            oss << ", \"energy_pj\": " << fmtNum(pr.energyPj)
-                << ", \"energy_per_mac_pj\": "
-                << fmtNum(pr.energyPerMacPj)
-                << ", \"latency_ns\": " << fmtNum(pr.latencyNs)
-                << ", \"area_um2\": " << fmtNum(pr.areaUm2)
-                << ", \"macs\": " << fmtNum(pr.macs)
-                << ", \"tops_per_watt\": " << fmtNum(pr.topsPerWatt)
-                << ", \"accuracy_loss\": " << fmtNum(pr.accuracyLoss)
-                << ", \"pareto\": "
-                << (pr.onFrontier ? "true" : "false");
+            for (const PointMetric& m : kPointMetrics)
+                oss << ", \"" << m.column << "\": " << fmtNum(pr.*m.value);
+            oss << ", \"pareto\": " << (pr.onFrontier ? "true" : "false");
         } else {
             oss << ", \"detail\": \"" << jsonEscape(pr.statusDetail)
                 << '"';

@@ -6,9 +6,12 @@
  */
 #include "cimloop/dse/dse.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "cimloop/common/error.hh"
@@ -20,12 +23,6 @@
 namespace cimloop::dse {
 
 namespace {
-
-constexpr const char* kNumericFields =
-    "rows, cols, array, dac_bits, adc_bits, cell_bits, input_bits, "
-    "weight_bits, voltage, tech_nm, buffer_kb, mappings, "
-    "fault_stuck_rate, stuck_off_rate, stuck_on_rate, "
-    "conductance_sigma, adc_offset, adc_noise_sigma, fault_seed";
 
 constexpr const char* kStringFields = "macro, network, layout";
 
@@ -46,21 +43,6 @@ checkLayoutValue(const std::string& value, const std::string& at)
     }
 }
 
-bool
-isNumericField(const std::string& field)
-{
-    return field == "rows" || field == "cols" || field == "array" ||
-           field == "dac_bits" || field == "adc_bits" ||
-           field == "cell_bits" || field == "input_bits" ||
-           field == "weight_bits" || field == "voltage" ||
-           field == "tech_nm" || field == "buffer_kb" ||
-           field == "mappings" || field == "fault_stuck_rate" ||
-           field == "stuck_off_rate" || field == "stuck_on_rate" ||
-           field == "conductance_sigma" || field == "fault_sigma" ||
-           field == "adc_offset" || field == "adc_noise_sigma" ||
-           field == "fault_seed";
-}
-
 /** One rendering for axis values everywhere (labels, CSV, JSON), shared
  *  by the YAML and programmatic construction paths. */
 std::string
@@ -76,58 +58,91 @@ renderNum(double v)
     return oss.str();
 }
 
-/** Writes one numeric axis value onto a materialized point. */
-void
-applyNumericField(SweepPoint& point, const std::string& field, double v)
+/** A row whose slot is the one member point.*Part.*Member. */
+template <auto Part, auto Member>
+constexpr NumericField
+member(const char* name, const char* flag, NumericField::Range range)
 {
-    macros::MacroParams& p = point.params;
-    faults::FaultModel& f = point.faults;
-    if (field == "rows") {
-        p.rows = static_cast<std::int64_t>(v);
-    } else if (field == "cols") {
-        p.cols = static_cast<std::int64_t>(v);
-    } else if (field == "array") {
-        p.rows = static_cast<std::int64_t>(v);
-        p.cols = static_cast<std::int64_t>(v);
-    } else if (field == "dac_bits") {
-        p.dacBits = static_cast<int>(v);
-    } else if (field == "adc_bits") {
-        p.adcBits = static_cast<int>(v);
-    } else if (field == "cell_bits") {
-        p.cellBits = static_cast<int>(v);
-    } else if (field == "input_bits") {
-        p.inputBits = static_cast<int>(v);
-    } else if (field == "weight_bits") {
-        p.weightBits = static_cast<int>(v);
-    } else if (field == "voltage") {
-        p.supplyVoltage = v;
-    } else if (field == "tech_nm") {
-        p.technologyNm = v;
-    } else if (field == "buffer_kb") {
-        p.bufferKb = static_cast<std::int64_t>(v);
-    } else if (field == "mappings") {
-        point.mappings = static_cast<int>(v);
-    } else if (field == "fault_stuck_rate") {
-        // Total stuck-cell rate, split evenly between the two polarities
-        // (the convention bench/fault_sweep established).
-        f.stuckOffRate = v / 2.0;
-        f.stuckOnRate = v / 2.0;
-    } else if (field == "stuck_off_rate") {
-        f.stuckOffRate = v;
-    } else if (field == "stuck_on_rate") {
-        f.stuckOnRate = v;
-    } else if (field == "conductance_sigma" || field == "fault_sigma") {
-        f.conductanceSigma = v;
-    } else if (field == "adc_offset") {
-        f.adcOffset = v;
-    } else if (field == "adc_noise_sigma") {
-        f.adcNoiseSigma = v;
-    } else if (field == "fault_seed") {
-        f.seed = static_cast<std::uint64_t>(v);
-    } else {
-        CIM_PANIC("unvalidated numeric sweep field '", field, "'");
-    }
+    return {name, flag, range,
+            [](const SweepPoint& p) {
+                return static_cast<double>(p.*Part.*Member);
+            },
+            [](SweepPoint& p, double v) {
+                auto& slot = p.*Part.*Member;
+                slot = static_cast<std::remove_reference_t<decltype(slot)>>(v);
+            }};
 }
+
+using Range = NumericField::Range;
+constexpr double kMax = std::numeric_limits<double>::max();
+// Sizes and counts stay castable to int, a seed to uint64_t (the bound
+// is the largest double below 2^64).
+constexpr Range kCount{true, 1, std::numeric_limits<int>::max(),
+                       "an integer within [1, 2^31 - 1]"};
+constexpr Range kBits{true, 1, 16, "within [1, 16]"};
+constexpr Range kPositive{false, std::numeric_limits<double>::denorm_min(),
+                          kMax, "a finite number > 0"};
+// FaultModel::validate() checks fault rates and sigmas per point (with
+// the stuck_off + stuck_on <= 1 rule that no per-field range can hold).
+constexpr Range kFinite{false, -kMax, kMax, "a finite number"};
+constexpr Range kSeed{true, 0, 18446744073709549568.0,
+                      "an integer within [0, 2^64)"};
+
+constexpr auto kParams = &SweepPoint::params;
+constexpr auto kFaults = &SweepPoint::faults;
+using P = macros::MacroParams;
+using F = faults::FaultModel;
+
+const NumericField kNumericFields[] = {
+    member<kParams, &P::rows>("rows", nullptr, kCount),
+    member<kParams, &P::cols>("cols", nullptr, kCount),
+    {"array", nullptr, kCount,
+     [](const SweepPoint& p) { return static_cast<double>(p.params.rows); },
+     [](SweepPoint& p, double v) {
+         p.params.rows = p.params.cols = static_cast<std::int64_t>(v);
+     }},
+    member<kParams, &P::dacBits>("dac_bits", "--dac-bits", kBits),
+    member<kParams, &P::adcBits>("adc_bits", nullptr, kBits),
+    member<kParams, &P::cellBits>("cell_bits", "--cell-bits", kBits),
+    member<kParams, &P::inputBits>("input_bits", "--input-bits", kBits),
+    member<kParams, &P::weightBits>("weight_bits", "--weight-bits", kBits),
+    member<kParams, &P::supplyVoltage>("voltage", "--voltage", kPositive),
+    member<kParams, &P::technologyNm>("tech_nm", "--tech", kPositive),
+    member<kParams, &P::bufferKb>("buffer_kb", nullptr, kCount),
+    {"mappings", "--mappings", kCount,
+     [](const SweepPoint& p) { return static_cast<double>(p.mappings); },
+     [](SweepPoint& p, double v) { p.mappings = static_cast<int>(v); }},
+    // The total stuck-cell rate, split evenly between the two polarities
+    // (the convention bench/fault_sweep established).
+    {"fault_stuck_rate", "--fault-stuck-rate", kFinite,
+     [](const SweepPoint& p) {
+         return p.faults.stuckOffRate + p.faults.stuckOnRate;
+     },
+     [](SweepPoint& p, double v) {
+         p.faults.stuckOffRate = p.faults.stuckOnRate = v / 2.0;
+     }},
+    member<kFaults, &F::stuckOffRate>("stuck_off_rate", nullptr, kFinite),
+    member<kFaults, &F::stuckOnRate>("stuck_on_rate", nullptr, kFinite),
+    member<kFaults, &F::conductanceSigma>("conductance_sigma", nullptr,
+                                          kFinite),
+    member<kFaults, &F::conductanceSigma>("fault_sigma", "--fault-sigma",
+                                          kFinite),
+    member<kFaults, &F::adcOffset>("adc_offset", nullptr, kFinite),
+    member<kFaults, &F::adcNoiseSigma>("adc_noise_sigma", nullptr, kFinite),
+    member<kFaults, &F::seed>("fault_seed", nullptr, kSeed),
+};
+
+/** The numeric field names, comma-separated, for unknown-field errors. */
+std::string
+numericFieldNames()
+{
+    std::string out;
+    for (const NumericField& f : kNumericFields)
+        out += (out.empty() ? "" : ", ") + std::string(f.name);
+    return out;
+}
+
+} // namespace
 
 engine::Objective
 objectiveFromName(const std::string& name, const char* key)
@@ -143,20 +158,13 @@ objectiveFromName(const std::string& name, const char* key)
               " (expected energy, edp, or delay)");
 }
 
-bool
-isParetoObjective(const std::string& name)
-{
-    return name == "energy" || name == "energy_per_mac" ||
-           name == "latency" || name == "area" || name == "accuracy";
-}
+namespace {
 
 /** Parses one sweep.axes[i] entry. */
 Axis
 axisFromYaml(const yaml::Node& node, std::size_t i)
 {
-    std::ostringstream path;
-    path << "sweep.axes[" << i << "]";
-    const std::string at = path.str();
+    const std::string at = "sweep.axes[" + std::to_string(i) + "]";
     if (!node.isMapping())
         CIM_FATAL(at, " must be a YAML mapping with a 'field' key");
 
@@ -175,8 +183,6 @@ axisFromYaml(const yaml::Node& node, std::size_t i)
                       "' (known: field, values, range)");
         }
     }
-    if (axis.field.empty())
-        CIM_FATAL(at, ".field must be set");
     if ((values == nullptr) == (range == nullptr)) {
         CIM_FATAL(at, " must have exactly one of 'values' and 'range'");
     }
@@ -251,9 +257,7 @@ axisFromYaml(const yaml::Node& node, std::size_t i)
 Constraint
 constraintFromYaml(const yaml::Node& node, std::size_t j)
 {
-    std::ostringstream path;
-    path << "sweep.constraints[" << j << "]";
-    const std::string at = path.str();
+    const std::string at = "sweep.constraints[" + std::to_string(j) + "]";
     if (!node.isMapping())
         CIM_FATAL(at, " must be a YAML mapping "
                   "{field, min and/or max}");
@@ -314,32 +318,42 @@ SweepSpec::pointCount() const
 void
 SweepSpec::validateGrid() const
 {
+    // Key paths are formatted only on a violation: the valid path runs
+    // on every spec load and allocates nothing.
     for (std::size_t i = 0; i < axes.size(); ++i) {
         const Axis& axis = axes[i];
-        std::ostringstream path;
-        path << "sweep.axes[" << i << "]";
-        const std::string at = path.str();
         if (axis.field.empty())
-            CIM_FATAL(at, ".field must be set");
+            CIM_FATAL("sweep.axes[", i, "].field must be set");
         const bool stringField = isStringField(axis.field);
-        if (!stringField && !isNumericField(axis.field)) {
-            CIM_FATAL("unknown sweep axis field '", axis.field, "' at ",
-                      at, ".field (numeric: ", kNumericFields,
-                      "; string: ", kStringFields, ")");
+        const NumericField* numeric =
+            stringField ? nullptr : findNumericField(axis.field);
+        if (!stringField && !numeric) {
+            CIM_FATAL("unknown sweep axis field '", axis.field,
+                      "' at sweep.axes[", i, "].field (numeric: ",
+                      numericFieldNames(), "; string: ", kStringFields,
+                      ")");
         }
         if (axis.values.empty())
-            CIM_FATAL(at, ".values must not be empty (field '",
-                      axis.field, "')");
+            CIM_FATAL("sweep.axes[", i, "].values must not be empty "
+                      "(field '", axis.field, "')");
         for (std::size_t v = 0; v < axis.values.size(); ++v) {
-            if (axis.values[v].isString != stringField) {
-                CIM_FATAL(at, ".values[", v, "]: field '", axis.field,
-                          "' takes ",
+            const AxisValue& value = axis.values[v];
+            if (value.isString != stringField) {
+                CIM_FATAL("sweep.axes[", i, "].values[", v, "]: field '",
+                          axis.field, "' takes ",
                           stringField ? "string" : "numeric",
-                          " values, got '", axis.values[v].text, "'");
+                          " values, got '", value.text, "'");
             }
-            if (axis.field == "layout") {
-                checkLayoutValue(axis.values[v].text,
-                                 at + ".values[" + std::to_string(v) +
+            if (numeric) {
+                if (const char* want = numeric->rangeError(value.num)) {
+                    CIM_FATAL("sweep.axes[", i, "].values[", v, "]: ",
+                              axis.field, " must be ", want, ", got ",
+                              value.text);
+                }
+            } else if (axis.field == "layout") {
+                checkLayoutValue(value.text,
+                                 "sweep.axes[" + std::to_string(i) +
+                                     "].values[" + std::to_string(v) +
                                      "]");
             }
         }
@@ -353,20 +367,18 @@ SweepSpec::validateGrid() const
     }
     for (std::size_t j = 0; j < constraints.size(); ++j) {
         const Constraint& c = constraints[j];
-        std::ostringstream path;
-        path << "sweep.constraints[" << j << "]";
-        const std::string at = path.str();
-        if (!isNumericField(c.field)) {
+        if (!findNumericField(c.field)) {
             CIM_FATAL("unknown sweep constraint field '", c.field,
-                      "' at ", at, ".field (known: ", kNumericFields,
-                      ")");
+                      "' at sweep.constraints[", j, "].field (known: ",
+                      numericFieldNames(), ")");
         }
         if (!c.hasMin && !c.hasMax)
-            CIM_FATAL(at, " needs at least one of 'min' and 'max' "
-                      "(field '", c.field, "')");
+            CIM_FATAL("sweep.constraints[", j, "] needs at least one of "
+                      "'min' and 'max' (field '", c.field, "')");
         if (c.hasMin && c.hasMax && c.min > c.max)
-            CIM_FATAL(at, ".min must be <= max, got ", c.min, " > ",
-                      c.max, " (field '", c.field, "')");
+            CIM_FATAL("sweep.constraints[", j, "].min must be <= max, "
+                      "got ", c.min, " > ", c.max, " (field '", c.field,
+                      "')");
     }
     // Million-plus grids are fine — the executor streams chunks and
     // keeps only frontier + summary in memory past
@@ -389,12 +401,9 @@ void
 SweepSpec::validate() const
 {
     validateGrid();
-    const bool hasNetworkAxis = [&] {
-        for (const Axis& axis : axes)
-            if (axis.field == "network")
-                return true;
-        return false;
-    }();
+    const bool hasNetworkAxis =
+        std::any_of(axes.begin(), axes.end(),
+                    [](const Axis& a) { return a.field == "network"; });
     if (!hasNetworkAxis && network.empty() == workloadPath.empty()) {
         CIM_FATAL("sweep '", name, "': exactly one of sweep.network and "
                   "sweep.workload must be set (network names a bundled "
@@ -412,7 +421,7 @@ SweepSpec::validate() const
     if (paretoObjectives.empty())
         CIM_FATAL("sweep.pareto must name at least one objective");
     for (const std::string& obj : paretoObjectives) {
-        if (!isParetoObjective(obj)) {
+        if (!findObjectiveMetric(obj)) {
             CIM_FATAL("unknown pareto objective '", obj,
                       "' at sweep.pareto (known: energy, "
                       "energy_per_mac, latency, area, accuracy)");
@@ -522,44 +531,47 @@ SweepPoint::label(const SweepSpec& spec) const
 double
 SweepPoint::fieldValue(const std::string& field) const
 {
-    if (field == "rows" || field == "array")
-        return static_cast<double>(params.rows);
-    if (field == "cols")
-        return static_cast<double>(params.cols);
-    if (field == "dac_bits")
-        return params.dacBits;
-    if (field == "adc_bits")
-        return params.adcBits;
-    if (field == "cell_bits")
-        return params.cellBits;
-    if (field == "input_bits")
-        return params.inputBits;
-    if (field == "weight_bits")
-        return params.weightBits;
-    if (field == "voltage")
-        return params.supplyVoltage;
-    if (field == "tech_nm")
-        return params.technologyNm;
-    if (field == "buffer_kb")
-        return static_cast<double>(params.bufferKb);
-    if (field == "mappings")
-        return mappings;
-    if (field == "fault_stuck_rate")
-        return faults.stuckOffRate + faults.stuckOnRate;
-    if (field == "stuck_off_rate")
-        return faults.stuckOffRate;
-    if (field == "stuck_on_rate")
-        return faults.stuckOnRate;
-    if (field == "conductance_sigma" || field == "fault_sigma")
-        return faults.conductanceSigma;
-    if (field == "adc_offset")
-        return faults.adcOffset;
-    if (field == "adc_noise_sigma")
-        return faults.adcNoiseSigma;
-    if (field == "fault_seed")
-        return static_cast<double>(faults.seed);
-    CIM_FATAL("unknown sweep field '", field, "' (known: ",
-              kNumericFields, ")");
+    const NumericField* numeric = findNumericField(field);
+    if (!numeric)
+        CIM_FATAL("unknown sweep field '", field, "' (known: ",
+                  numericFieldNames(), ")");
+    return numeric->get(*this);
+}
+
+const PointMetric*
+findObjectiveMetric(const std::string& name)
+{
+    for (const PointMetric& m : kPointMetrics) {
+        if (m.objective && name == m.objective)
+            return &m;
+    }
+    return nullptr;
+}
+
+const char*
+NumericField::rangeError(double v) const
+{
+    if (!(v >= range.lo && v <= range.hi))
+        return range.text;
+    if (range.integer && v != std::floor(v))
+        return "an integer";
+    return nullptr;
+}
+
+std::span<const NumericField>
+numericFields()
+{
+    return kNumericFields;
+}
+
+const NumericField*
+findNumericField(const std::string& name)
+{
+    for (const NumericField& f : kNumericFields) {
+        if (name == f.name)
+            return &f;
+    }
+    return nullptr;
 }
 
 SweepPoint
@@ -614,10 +626,8 @@ materializePoint(const SweepSpec& spec, std::size_t index)
     point.params = macros::defaultsByName(point.macroName);
     for (std::size_t i = 0; i < spec.axes.size(); ++i) {
         const Axis& axis = spec.axes[i];
-        if (isStringField(axis.field))
-            continue;
-        applyNumericField(point, axis.field,
-                          axis.values[point.coords[i]].num);
+        if (const NumericField* numeric = findNumericField(axis.field))
+            numeric->set(point, axis.values[point.coords[i]].num);
     }
     if (spec.scaledAdc) {
         point.params.adcBits =

@@ -121,23 +121,6 @@ classifyFailure(std::exception_ptr error)
     }
 }
 
-/** Reads one Pareto objective off an evaluated point. */
-double
-objectiveValue(const PointResult& pr, const std::string& name)
-{
-    if (name == "energy")
-        return pr.energyPj;
-    if (name == "energy_per_mac")
-        return pr.energyPerMacPj;
-    if (name == "latency")
-        return pr.latencyNs;
-    if (name == "area")
-        return pr.areaUm2;
-    if (name == "accuracy")
-        return pr.accuracyLoss;
-    CIM_PANIC("unvalidated pareto objective '", name, "'");
-}
-
 /** Evaluates one point in place; never throws. */
 void
 evaluatePoint(const SweepSpec& spec,
@@ -249,13 +232,8 @@ restoreRecord(const SweepSpec& spec, const JournalRecord& rec)
     pr.status = rec.status;
     pr.engineTouched = rec.engineTouched;
     pr.statusDetail = rec.statusDetail;
-    pr.energyPj = rec.metrics[0];
-    pr.energyPerMacPj = rec.metrics[1];
-    pr.latencyNs = rec.metrics[2];
-    pr.areaUm2 = rec.metrics[3];
-    pr.macs = rec.metrics[4];
-    pr.topsPerWatt = rec.metrics[5];
-    pr.accuracyLoss = rec.metrics[6];
+    for (std::size_t k = 0; k < kJournalMetricCount; ++k)
+        pr.*kPointMetrics[k].value = rec.metrics[k];
     return pr;
 }
 
@@ -288,20 +266,10 @@ restoreSkipped(const SweepSpec& spec, std::size_t index,
 const char*
 nonFiniteMetric(const PointResult& pr)
 {
-    if (!std::isfinite(pr.energyPj))
-        return "energy_pj";
-    if (!std::isfinite(pr.energyPerMacPj))
-        return "energy_per_mac_pj";
-    if (!std::isfinite(pr.latencyNs))
-        return "latency_ns";
-    if (!std::isfinite(pr.areaUm2))
-        return "area_um2";
-    if (!std::isfinite(pr.macs))
-        return "macs";
-    if (!std::isfinite(pr.topsPerWatt))
-        return "tops_per_watt";
-    if (!std::isfinite(pr.accuracyLoss))
-        return "accuracy_loss";
+    for (const PointMetric& m : kPointMetrics) {
+        if (!std::isfinite(pr.*m.value))
+            return m.column;
+    }
     return nullptr;
 }
 
@@ -485,7 +453,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& opts)
             std::vector<double> row;
             row.reserve(spec.paretoObjectives.size());
             for (const std::string& name : spec.paretoObjectives)
-                row.push_back(objectiveValue(pr, name));
+                row.push_back(pr.*findObjectiveMetric(name)->value);
             if (bestIdx == static_cast<std::size_t>(-1) ||
                 row[0] < bestVal) {
                 bestIdx = pr.point.index;

@@ -110,7 +110,10 @@ precompute(const Arch& arch, const workload::Layer& layer,
         ctx.tensors[kW] = analog ? wt_faulty : wt_sliced;
         ctx.tensors[kO] = out_full;
         if (klass_lower == "adc") {
-            int res = static_cast<int>(node.attrInt("resolution", 8));
+            // Out-of-range resolutions fail below, in the ADC model.
+            const int res = static_cast<int>(
+                std::clamp<std::int64_t>(node.attrInt("resolution", 8), 1,
+                                         32));
             ctx.tensors[kO] = dist::encodeOperands(
                 table.profile.outputs, dist::Encoding::Offset, res);
             if (arch.faults.adcFaultsEnabled()) {

@@ -290,28 +290,6 @@ scaledAdcBits(std::int64_t rows, int bits_at_128)
     return std::max(2, std::min(12, bits_at_128 + delta));
 }
 
-void
-appendMacro(HierarchyBuilder& builder, const MacroParams& p,
-            const std::string& kind)
-{
-    std::string n = toLower(kind);
-    if (n == "base")
-        appendBase(builder, p);
-    else if (n == "a" || n == "macro_a")
-        appendA(builder, p);
-    else if (n == "b" || n == "macro_b")
-        appendB(builder, p);
-    else if (n == "c" || n == "macro_c")
-        appendC(builder, p);
-    else if (n == "d" || n == "macro_d")
-        appendD(builder, p);
-    else if (n == "digital" || n == "digital_cim")
-        appendDigital(builder, p);
-    else
-        CIM_FATAL("unknown macro '", kind,
-                  "' (expected base, A, B, C, D, or digital)");
-}
-
 MacroParams
 baseDefaults()
 {
@@ -469,24 +447,47 @@ digitalCim(const MacroParams& p)
     return wrap(p, "digital_cim", b.build());
 }
 
+namespace {
+
+/** One built-in macro: the names that select it, its Table III
+ *  defaults, and its builders. */
+struct MacroKind
+{
+    const char* name;
+    const char* alias;
+    MacroParams (*defaults)();
+    void (*append)(HierarchyBuilder&, const MacroParams&);
+    engine::Arch (*build)(const MacroParams&);
+};
+
+const MacroKind kMacroKinds[] = {
+    {"base", "base", baseDefaults, appendBase, baseMacro},
+    {"a", "macro_a", macroADefaults, appendA, macroA},
+    {"b", "macro_b", macroBDefaults, appendB, macroB},
+    {"c", "macro_c", macroCDefaults, appendC, macroC},
+    {"d", "macro_d", macroDDefaults, appendD, macroD},
+    {"digital", "digital_cim", digitalCimDefaults, appendDigital,
+     digitalCim},
+};
+
+const MacroKind&
+macroKind(const std::string& name)
+{
+    const std::string n = toLower(name);
+    for (const MacroKind& kind : kMacroKinds) {
+        if (n == kind.name || n == kind.alias)
+            return kind;
+    }
+    CIM_FATAL("unknown macro '", name,
+              "' (expected base, A, B, C, D, or digital)");
+}
+
+} // namespace
+
 MacroParams
 defaultsByName(const std::string& name)
 {
-    std::string n = toLower(name);
-    if (n == "base")
-        return baseDefaults();
-    if (n == "a" || n == "macro_a")
-        return macroADefaults();
-    if (n == "b" || n == "macro_b")
-        return macroBDefaults();
-    if (n == "c" || n == "macro_c")
-        return macroCDefaults();
-    if (n == "d" || n == "macro_d")
-        return macroDDefaults();
-    if (n == "digital" || n == "digital_cim")
-        return digitalCimDefaults();
-    CIM_FATAL("unknown macro '", name,
-              "' (expected base, A, B, C, D, or digital)");
+    return macroKind(name).defaults();
 }
 
 engine::Arch
@@ -498,21 +499,14 @@ macroByName(const std::string& name)
 engine::Arch
 macroByName(const std::string& name, const MacroParams& p)
 {
-    std::string n = toLower(name);
-    if (n == "base")
-        return baseMacro(p);
-    if (n == "a" || n == "macro_a")
-        return macroA(p);
-    if (n == "b" || n == "macro_b")
-        return macroB(p);
-    if (n == "c" || n == "macro_c")
-        return macroC(p);
-    if (n == "d" || n == "macro_d")
-        return macroD(p);
-    if (n == "digital" || n == "digital_cim")
-        return digitalCim(p);
-    CIM_FATAL("unknown macro '", name,
-              "' (expected base, A, B, C, D, or digital)");
+    return macroKind(name).build(p);
+}
+
+void
+appendMacro(HierarchyBuilder& builder, const MacroParams& p,
+            const std::string& kind)
+{
+    macroKind(kind).append(builder, p);
 }
 
 } // namespace cimloop::macros

@@ -70,7 +70,7 @@ class AdcModel : public ComponentModel
     ComponentEstimate
     estimate(const ComponentContext& ctx) const override
     {
-        int bits = static_cast<int>(ctx.attrInt("resolution", 8));
+        const std::int64_t bits = ctx.attrInt("resolution", 8);
         // A user-reachable limit, not an invariant: design sweeps over
         // array size / DAC width can push the derived resolution past
         // the survey's 14-bit ceiling, and that point must fail as a
@@ -136,9 +136,10 @@ class DacModel : public ComponentModel
     estimate(const ComponentContext& ctx) const override
     {
         const EncodedTensor& in = ctx.tensors[kI];
-        int bits = static_cast<int>(ctx.attrInt("resolution", in.bits));
-        CIM_ASSERT(bits >= 1 && bits <= 14, "DAC resolution out of range: ",
-                   bits);
+        const std::int64_t bits = ctx.attrInt("resolution", in.bits);
+        if (bits < 1 || bits > 14)
+            CIM_FATAL("DAC attribute 'resolution' must be within [1, 14], "
+                      "got ", bits);
         double e_unit_fj = ctx.attrDouble("unit_cap_energy_fj", 3.0);
         double e_base_fj = ctx.attrDouble("base_energy_fj_per_bit", 1.5);
         double value_term;
@@ -261,8 +262,9 @@ class AnalogAdderModel : public ComponentModel
         const EncodedTensor& in = ctx.tensors[kI];
         const EncodedTensor& wt = ctx.tensors[kW];
         std::int64_t operands = ctx.attrInt("operands", 2);
-        CIM_ASSERT(operands >= 1 && operands <= 16,
-                   "analog adder operand count out of range: ", operands);
+        if (operands < 1 || operands > 16)
+            CIM_FATAL("AnalogAdder attribute 'operands' must be within "
+                      "[1, 16], got ", operands);
         // Binary-weighted summation (operand i carries weight 2^i): the
         // capacitor array totals 2^N - 1 unit caps, so area AND charge
         // grow exponentially with operand count — why very wide analog
@@ -466,9 +468,10 @@ class SramBufferModel : public ComponentModel
     {
         std::int64_t entries = ctx.attrInt("entries", 1024);
         std::int64_t width = ctx.attrInt("width", 64);
-        CIM_ASSERT(entries >= 1 && width >= 1,
-                   "SRAM needs positive entries/width");
-        double bits = static_cast<double>(entries * width);
+        if (entries < 1 || width < 1)
+            CIM_FATAL("SRAM attributes 'entries' and 'width' must be >= 1, "
+                      "got ", entries, " and ", width);
+        double bits = static_cast<double>(entries) * width;
         double word_pj =
             (0.012 * std::sqrt(bits) + 0.003 * width) * e65(ctx);
         ComponentEstimate est;

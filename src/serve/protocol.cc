@@ -7,6 +7,7 @@
 
 #include "cimloop/cli/cli.hh"
 #include "cimloop/common/error.hh"
+#include "cimloop/dse/dse.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/obs/obs.hh"
 #include "cimloop/serve/json.hh"
@@ -42,20 +43,11 @@ const FieldSpec kEvaluateFields[] = {
     {"arch", "--arch", FieldSpec::String},
     {"network", "--network", FieldSpec::String},
     {"workload", "--workload", FieldSpec::String},
-    {"mappings", "--mappings", FieldSpec::Number},
     {"seed", "--seed", FieldSpec::Number},
     {"threads", "--threads", FieldSpec::Number},
     {"objective", "--objective", FieldSpec::String},
     {"device", "--device", FieldSpec::String},
-    {"tech_nm", "--tech", FieldSpec::Number},
-    {"voltage", "--voltage", FieldSpec::Number},
-    {"dac_bits", "--dac-bits", FieldSpec::Number},
-    {"cell_bits", "--cell-bits", FieldSpec::Number},
-    {"input_bits", "--input-bits", FieldSpec::Number},
-    {"weight_bits", "--weight-bits", FieldSpec::Number},
     {"faults", "--faults", FieldSpec::String},
-    {"fault_stuck_rate", "--fault-stuck-rate", FieldSpec::Number},
-    {"fault_sigma", "--fault-sigma", FieldSpec::Number},
     {"mapping", "--mapping", FieldSpec::String},
     {"layout", "--layout", FieldSpec::String},
     {"layout_search", "--layout-search", FieldSpec::Flag},
@@ -104,17 +96,26 @@ const char* const kTypeWord[] = {"a string", "a number", "a boolean"};
 
 /**
  * Translates the request's members into argv for cli::parseArgs().
- * Returns false (with a protocol-error message) on an unknown member or
- * a type mismatch; value *validation* stays with the CLI.
+ * With @p design_fields, every dse::numericFields() row that has a CLI
+ * flag is a Number member too, under its sweep name (tech_nm, dac_bits,
+ * mappings, ...). Returns false (with a protocol-error message) on an
+ * unknown member or a type mismatch; value *validation* stays with the
+ * CLI.
  */
 bool
 buildArgs(const JsonValue& doc, const FieldSpec* table, std::size_t n,
-          std::vector<std::string>& args, std::string& error)
+          bool design_fields, std::vector<std::string>& args,
+          std::string& error)
 {
     for (const auto& [key, value] : doc.members) {
         if (key == "id" || key == "kind")
             continue;
         const FieldSpec* spec = findField(table, n, key);
+        const dse::NumericField* numeric = dse::findNumericField(key);
+        const FieldSpec design{key.c_str(), numeric ? numeric->flag : nullptr,
+                               FieldSpec::Number};
+        if (!spec && design_fields && design.flag)
+            spec = &design;
         if (!spec) {
             error = "unknown field \"" + key + "\"";
             return false;
@@ -188,8 +189,8 @@ u64(std::uint64_t v)
 /**
  * Runs an already-translated evaluate/sweep request through the CLI
  * core with the client's cache attribution installed, and packages exit
- * code + captured streams as the response. Never throws: anything that
- * escapes runParsed() (which already maps FatalError/CancelledError)
+ * code + captured streams as the response. Never throws: runParsed()
+ * already maps every std::exception to an exit code, and anything else
  * becomes a fatal execution error, not a dead daemon.
  */
 std::string
@@ -217,9 +218,6 @@ executeRequest(ClientState& client, const std::string& id_json,
         RequestStatsScope stats_scope(&client.cacheStats);
         try {
             rc = cli::runParsed(opts, cancel, out, err);
-        } catch (const std::exception& e) {
-            err << e.what() << "\n";
-            rc = cli::ExitFatal;
         } catch (...) {
             err << "unknown error\n";
             rc = cli::ExitFatal;
@@ -383,11 +381,12 @@ handleRequestLine(ServerState& server, ClientState& client,
 
         std::vector<std::string> args;
         const bool ok =
-            is_evaluate
-                ? buildArgs(*doc, kEvaluateFields,
-                            std::size(kEvaluateFields), args, shape_error)
-                : buildArgs(*doc, kSweepFields, std::size(kSweepFields),
-                            args, shape_error);
+            is_evaluate ? buildArgs(*doc, kEvaluateFields,
+                                    std::size(kEvaluateFields), true,
+                                    args, shape_error)
+                        : buildArgs(*doc, kSweepFields,
+                                    std::size(kSweepFields), false, args,
+                                    shape_error);
         if (!ok)
             return reject(id_json, "protocol", shape_error);
         if (!doc->get("threads")) {

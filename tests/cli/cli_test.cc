@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,8 +37,8 @@ TEST(Parse, FullFlagSet)
     EXPECT_EQ(o.seed, 9u);
     EXPECT_EQ(o.threads, 2);
     EXPECT_EQ(o.objective, "edp");
-    EXPECT_DOUBLE_EQ(o.technologyNm, 7.0);
-    EXPECT_DOUBLE_EQ(o.voltage, 0.65);
+    EXPECT_DOUBLE_EQ(*o.technologyNm, 7.0);
+    EXPECT_DOUBLE_EQ(*o.voltage, 0.65);
     EXPECT_EQ(o.dacBits, 2);
     EXPECT_EQ(o.inputBits, 4);
     EXPECT_EQ(o.csvPath, "/tmp/x.csv");
@@ -909,8 +911,94 @@ TEST(Run, OutOfRangeOperatingPointExitTwoNamingTheFlag)
                "--cell-bits", "1", "--voltage", "0.8", "--tech", "22"});
     EXPECT_EQ(ok.dacBits, 16);
     EXPECT_EQ(ok.cellBits, 1);
-    EXPECT_DOUBLE_EQ(ok.voltage, 0.8);
-    EXPECT_DOUBLE_EQ(ok.technologyNm, 22.0);
+    EXPECT_DOUBLE_EQ(*ok.voltage, 0.8);
+    EXPECT_DOUBLE_EQ(*ok.technologyNm, 22.0);
+}
+
+/** Writes a one-macro arch YAML with the given SRAM entries and DAC
+ *  resolution; returns its path. */
+std::string
+writeConverterArch(const std::string& name, int sram_entries,
+                   int dac_resolution)
+{
+    const std::string path = "/tmp/cimloop_cli_" + name + ".yaml";
+    std::ofstream a(path);
+    a << "!Component\n"
+         "name: buffer\n"
+         "class: SRAM\n"
+         "temporal_reuse: [Inputs, Outputs]\n"
+         "entries: " << sram_entries << "\n"
+         "!Component\n"
+         "name: dac\n"
+         "class: DAC\n"
+         "no_coalesce: [Inputs]\n"
+         "resolution: " << dac_resolution << "\n"
+         "!Container\n"
+         "name: col\n"
+         "spatial: {meshX: 16}\n"
+         "spatial_reuse: [Inputs]\n"
+         "spatial_dims: [K, WB]\n"
+         "!Component\n"
+         "name: adc\n"
+         "class: ADC\n"
+         "no_coalesce: [Outputs]\n"
+         "resolution: 4\n"
+         "!Component\n"
+         "name: cells\n"
+         "class: ReRAMCell\n"
+         "spatial: {meshY: 16}\n"
+         "temporal_reuse: [Weights]\n"
+         "spatial_reuse: [Outputs]\n"
+         "spatial_dims: [C, R, S]\n";
+    return path;
+}
+
+TEST(Run, OutOfRangeArchAttributeIsANamedFatal)
+{
+    // Model checks an arch YAML can reach fail as spec errors naming the
+    // attribute (exit 1), never as an internal assertion.
+    const std::vector<std::tuple<std::string, int, int, std::string>>
+        cases = {{"dac40", 8192, 40, "DAC attribute 'resolution'"},
+                 {"sram0", 0, 1, "SRAM attributes 'entries'"}};
+    for (const auto& [name, entries, dac, needle] : cases) {
+        const std::string arch = writeConverterArch(name, entries, dac);
+        std::ostringstream out, err;
+        EXPECT_EQ(run({"--arch", arch.c_str(), "--network", "mvm",
+                       "--mappings", "4"},
+                      out, err),
+                  1)
+            << name;
+        EXPECT_NE(err.str().find(needle), std::string::npos) << err.str();
+        EXPECT_EQ(err.str().find("panic:"), std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str().find("panic:"), std::string::npos)
+            << out.str();
+        std::remove(arch.c_str());
+    }
+}
+
+TEST(Run, SweepAxisValueOutOfRangeIsASpecError)
+{
+    const char* path = "/tmp/cimloop_cli_bad_axis.yaml";
+    {
+        std::ofstream f(path);
+        f << "sweep:\n"
+             "  network: mvm\n"
+             "  mappings: 4\n"
+             "  axes:\n"
+             "    - field: array\n"
+             "      values: [64]\n"
+             "    - field: dac_bits\n"
+             "      values: [1, 0]\n";
+    }
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"--sweep", path}, out, err), 1);
+    EXPECT_NE(err.str().find("sweep.axes[1].values[1]: dac_bits must be "
+                             "within [1, 16], got 0"),
+              std::string::npos)
+        << err.str();
+    EXPECT_EQ(out.str().find("panic:"), std::string::npos) << out.str();
+    std::remove(path);
 }
 
 TEST(Run, NonFiniteNetworkTotalIsFatal)

@@ -6,7 +6,10 @@
  */
 #include "cimloop/dse/dse.hh"
 
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -387,6 +390,75 @@ TEST(DseSpec, FaultModelValidatedThroughSpec)
     spec.faults.conductanceSigma = 2.0; // beyond the analytic bound
     expectFatalContaining([&] { spec.validate(); },
                           "conductance_sigma");
+}
+
+TEST(DseSpec, AxisValueOutsideItsFieldRangeIsASpecError)
+{
+    // Each of these once reached a model assertion, or ran at a silently
+    // different operating point; validation now names the axis value,
+    // the field and its range.
+    const std::vector<std::pair<std::string, double>> cases = {
+        {"dac_bits", 0},      {"dac_bits", 40},    {"cell_bits", 0},
+        {"adc_bits", 0},      {"weight_bits", 17}, {"buffer_kb", 0},
+        {"array", 0},         {"array", 0.5},      {"voltage", -1},
+        {"input_bits", 0},    {"mappings", 0.5},   {"fault_seed", -1},
+        {"rows", 1e300},      {"tech_nm", 0},      {"dac_bits", 2.5},
+        {"voltage", std::numeric_limits<double>::quiet_NaN()},
+    };
+    for (const auto& [field, value] : cases) {
+        SweepSpec spec;
+        spec.network = "mvm";
+        spec.addAxis("cols", std::vector<double>{64});
+        spec.addAxis(field, std::vector<double>{value});
+        expectFatalContaining([&] { spec.validate(); },
+                              "sweep.axes[1].values[0]: " + field +
+                                  " must be ");
+    }
+    SweepSpec bits;
+    bits.network = "mvm";
+    bits.addAxis("dac_bits", std::vector<double>{1, 0});
+    expectFatalContaining([&] { bits.validate(); },
+                          "sweep.axes[0].values[1]: dac_bits must be "
+                          "within [1, 16], got 0");
+}
+
+TEST(DseSpec, RangesAreWellFormednessNotModelCoverage)
+{
+    // A 15-bit ADC and a 1e200 V supply are well formed: they reach the
+    // models and fail there as per-point errors, not at validation.
+    SweepSpec spec;
+    spec.network = "mvm";
+    spec.addAxis("adc_bits", std::vector<double>{1, 15, 16});
+    spec.addAxis("voltage", std::vector<double>{0.5, 1e200});
+    spec.addAxis("stuck_off_rate", std::vector<double>{2.0});
+    spec.validate(); // must not throw
+}
+
+TEST(DseSpec, EveryNumericFieldResolvesAndRoundTrips)
+{
+    // One table row per field: the unknown-field message lists them
+    // all, and each row writes what it reads back.
+    SweepSpec spec;
+    spec.network = "mvm";
+    spec.addAxis("speed", std::vector<double>{1});
+    try {
+        spec.validate();
+        FAIL() << "unknown field accepted";
+    } catch (const FatalError& e) {
+        for (const NumericField& f : numericFields())
+            EXPECT_NE(std::string(e.what()).find(f.name),
+                      std::string::npos)
+                << f.name << " missing from: " << e.what();
+    }
+    for (const NumericField& f : numericFields()) {
+        ASSERT_EQ(findNumericField(f.name), &f);
+        SweepPoint p;
+        const double v = f.range.integer ? 3.0 : 0.25;
+        f.set(p, v);
+        EXPECT_DOUBLE_EQ(f.get(p), v) << f.name;
+        EXPECT_EQ(f.rangeError(v), nullptr) << f.name;
+    }
+    EXPECT_EQ(findNumericField("--dac-bits"), nullptr);
 }
 
 TEST(DseGrid, OdometerOrderLastAxisFastest)

@@ -9,16 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "cimloop/cli/cli.hh"
+#include "cimloop/common/error.hh"
 #include "cimloop/common/util.hh"
 #include "cimloop/engine/evaluate.hh"
+#include "cimloop/models/component.hh"
 #include "cimloop/serve/json.hh"
 
 namespace cimloop::serve {
@@ -399,6 +403,95 @@ TEST(ServeExec, OperatingPointErrorsMatchOneShotCli)
     ASSERT_TRUE(exit_code && exit_code->isNumber());
     EXPECT_EQ(exit_code->number, static_cast<double>(volt_rc));
     EXPECT_EQ(errorKind(volt), "fatal");
+}
+
+/** Writes an arch YAML whose converter node has class @p dac_class,
+ *  the given resolution, and an SRAM buffer of @p entries; returns its
+ *  path. */
+std::string
+writeArch(const std::string& name, const std::string& dac_class,
+          int entries, int resolution)
+{
+    const std::string path = "/tmp/cimloop_serve_" + name + ".yaml";
+    std::ofstream a(path);
+    a << "!Component\nname: buffer\nclass: SRAM\n"
+         "temporal_reuse: [Inputs, Outputs]\nentries: "
+      << entries
+      << "\n!Component\nname: dac\nclass: " << dac_class
+      << "\nno_coalesce: [Inputs]\nresolution: " << resolution
+      << "\n!Container\nname: col\nspatial: {meshX: 16}\n"
+         "spatial_reuse: [Inputs]\nspatial_dims: [K, WB]\n"
+         "!Component\nname: cells\nclass: ReRAMCell\n"
+         "spatial: {meshY: 16}\ntemporal_reuse: [Weights]\n"
+         "spatial_reuse: [Outputs]\nspatial_dims: [C, R, S]\n";
+    return path;
+}
+
+/** Runs @p arch on mvm one-shot and through the daemon; asserts both
+ *  exit 1 with identical stdout and stderr, and returns that stderr. */
+std::string
+expectFatalInBothFrontEnds(const std::string& arch)
+{
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::run({"--arch", arch, "--network", "mvm", "--mappings",
+                        "4"},
+                       out, err),
+              cli::ExitFatal)
+        << err.str();
+    Harness h;
+    JsonValue doc = parseResponse(
+        h.call("{\"id\":1,\"kind\":\"evaluate\",\"arch\":\"" + arch +
+               "\",\"network\":\"mvm\",\"mappings\":4}"));
+    EXPECT_FALSE(okField(doc));
+    EXPECT_EQ(errorKind(doc), "fatal");
+    const JsonValue* exit_code = doc.get("exit");
+    EXPECT_TRUE(exit_code && exit_code->number == 1.0);
+    const JsonValue* d_out = doc.get("stdout");
+    const JsonValue* d_err = doc.get("stderr");
+    EXPECT_TRUE(d_out && d_out->text == out.str());
+    EXPECT_TRUE(d_err && d_err->text == err.str())
+        << (d_err ? d_err->text : "") << " vs " << err.str();
+    return err.str();
+}
+
+TEST(ServeExec, OutOfRangeArchAttributeIsTheSameNamedFatal)
+{
+    for (const auto& [arch, needle] :
+         {std::pair{writeArch("dac40", "DAC", 8192, 40),
+                    "DAC attribute 'resolution'"},
+          std::pair{writeArch("sram0", "DAC", 0, 1),
+                    "SRAM attributes 'entries'"}}) {
+        const std::string err = expectFatalInBothFrontEnds(arch);
+        EXPECT_NE(err.find(needle), std::string::npos) << err;
+        EXPECT_EQ(err.find("panic:"), std::string::npos) << err;
+        std::remove(arch.c_str());
+    }
+}
+
+/** A component model that trips an internal check: the stand-in for a
+ *  bug no front-end validation caught. */
+class PanicProbeModel : public models::ComponentModel
+{
+  public:
+    std::string className() const override { return "PanicProbe"; }
+    std::string description() const override { return "always panics"; }
+    models::ComponentEstimate
+    estimate(const models::ComponentContext&) const override
+    {
+        CIM_PANIC("panic probe reached");
+    }
+};
+
+TEST(ServeExec, EscapedPanicExitsOneInBothFrontEnds)
+{
+    // A PanicError escaping the CLI core used to std::terminate the
+    // one-shot tool (exit 134) while the daemon answered exit 1.
+    models::PluginRegistry::instance().add(
+        std::make_unique<PanicProbeModel>());
+    const std::string arch = writeArch("probe", "PanicProbe", 8192, 1);
+    const std::string err = expectFatalInBothFrontEnds(arch);
+    EXPECT_NE(err.find("panic probe reached"), std::string::npos) << err;
+    std::remove(arch.c_str());
 }
 
 TEST(ServeExec, ExecutionFailureIsStructuredAndSurvivable)
