@@ -146,9 +146,14 @@ hex(std::uint64_t v)
     return buf;
 }
 
+/**
+ * The macro name is held inline, not as a pointer: gtest prints the
+ * parameter's bytes into each test's listed name, and a pointer would
+ * make that name change with every build and every run.
+ */
 struct Pinned
 {
-    const char* macro;
+    char macro[8];
     std::uint64_t digest;
 };
 
